@@ -3,11 +3,12 @@
 
 Times, on seeded Barabási–Albert and Erdős–Rényi graphs:
 
-* **engines** — cold trajectory runs for every engine × parallel mode
-  (``vectorized``, ``sharded`` sequential / ``thread`` / ``process``, and the
-  ``faithful`` simulator on graphs small enough to finish), with a
-  bit-identical check against the vectorized trajectory and speedups relative
-  to the single-worker sharded baseline;
+* **engines** — cold trajectory runs for every engine × shard plan
+  (``vectorized`` on its default plan, ``sharded`` — the same engine on an
+  explicit plan — sequential / ``thread``, and the ``faithful`` simulator on
+  graphs small enough to finish), with a bit-identical check against the
+  vectorized trajectory and speedups relative to the sequential sharded
+  baseline;
 * **kept_sets** — the batched `kept_sets_from_trajectory` vs the per-node
   `_reference` Python loop, for all three tie-break rules;
 * **sessions** — cold vs warm (request-cache) vs prefix-resumed
@@ -34,12 +35,12 @@ Times, on seeded Barabási–Albert and Erdős–Rényi graphs:
   acceptance bar is >= 5x at 100k nodes) — the perf trajectory of the
   densest fast path;
 * **out_of_core** — the memory-mapped CSR mode (`sharded:storage=mmap`,
-  sequential and process-pool): cold (materialise the arrays on disk, then
+  sequential and threaded): cold (materialise the arrays on disk, then
   run over `np.memmap` views) vs warm (files revalidated by fingerprint, no
   rewrite), against the in-memory sharded baseline, with a bit-identical
   check and the on-disk array footprint — the perf trajectory of
   `repro.graph.mmap_csr`.  The ``mmap-traj-*`` configs additionally spill the
-  *output* (`trajectory_storage=mmap`, sequential / thread / process) at a
+  *output* (`trajectory_storage=mmap`, sequential / thread) at a
   larger round budget ``--traj-rounds`` chosen so the full ``(T+1) × n``
   trajectory dwarfs the run's other allocations: the spilled run keeps only
   a two-row window resident, appends rounds to the on-disk ``.traj`` buffer,
@@ -78,7 +79,7 @@ the densest fast path or the observability layer without ``serve`` /
 ``densest`` / ``obs_overhead`` — all optional-but-validated within
 schema 3), so the committed PR3-PR8 trajectories stay checkable.
 Speedup claims are only meaningful relative to ``machine.cpu_count`` —
-process parallelism cannot beat the baseline on a single-CPU container, and
+thread parallelism cannot beat the baseline on a single-CPU container, and
 the JSON records that context instead of hiding it.
 """
 
@@ -166,8 +167,6 @@ def _engine_configs(shards, workers):
         ("sharded-seq", {"engine": "sharded", "num_shards": shards}),
         ("sharded-thread", {"engine": "sharded", "num_shards": shards,
                             "max_workers": workers, "parallel": "thread"}),
-        ("sharded-process", {"engine": "sharded", "num_shards": shards,
-                             "max_workers": workers, "parallel": "process"}),
         ("faithful", {"engine": "faithful"}),
     ]
 
@@ -590,7 +589,6 @@ def bench_out_of_core(graphs, rounds, shards, workers, repeats, log,
     re-runs on a *fresh* engine, which must resume from the surviving
     published prefix and still match the in-memory trajectory bit for bit.
     """
-    from repro.engine.sharded import ShardedEngine
     from repro.store import traj as traj_store
 
     traj_rounds = rounds if traj_rounds is None else traj_rounds
@@ -613,20 +611,18 @@ def bench_out_of_core(graphs, rounds, shards, workers, repeats, log,
 
         for label, run_rounds, options in (
                 ("mmap-seq", rounds, {}),
-                ("mmap-process", rounds, {"max_workers": workers,
-                                          "parallel": "process"}),
+                ("mmap-thread", rounds, {"max_workers": workers,
+                                         "parallel": "thread"}),
                 ("mmap-traj-seq", traj_rounds,
                  {"trajectory_storage": "mmap"}),
                 ("mmap-traj-thread", traj_rounds,
                  {"max_workers": workers, "parallel": "thread",
-                  "trajectory_storage": "mmap"}),
-                ("mmap-traj-process", traj_rounds,
-                 {"max_workers": workers, "parallel": "process",
                   "trajectory_storage": "mmap"})):
             baseline_seconds, reference = baseline_for(run_rounds)
             with tempfile.TemporaryDirectory(prefix="repro-bench-mmap-") as tmp:
-                engine = ShardedEngine(num_shards=shards, storage="mmap",
-                                       storage_dir=tmp, **options)
+                engine = get_engine("sharded", num_shards=shards,
+                                    storage="mmap", storage_dir=tmp,
+                                    **options)
                 start = time.perf_counter()
                 result = engine.run(graph, run_rounds, track_kept=False, csr=csr)
                 cold = time.perf_counter() - start
@@ -635,8 +631,8 @@ def bench_out_of_core(graphs, rounds, shards, workers, repeats, log,
                                        csr=csr),
                     repeats)
                 mapped = next(iter(engine._mapped_cache.values()))
-                csr_bytes = sum(Path(path).stat().st_size
-                                for path, _, _ in mapped.file_specs().values())
+                csr_bytes = sum(path.stat().st_size
+                                for path in mapped.directory.glob("*.bin"))
                 identical = bool(np.array_equal(result.trajectory,
                                                 reference.trajectory))
                 row = {
@@ -662,9 +658,9 @@ def bench_out_of_core(graphs, rounds, shards, workers, repeats, log,
                     with open(rows_file, "r+b") as handle:
                         handle.truncate(
                             keep_rows * graph.num_nodes * 8 + 123)
-                    resumed_engine = ShardedEngine(
-                        num_shards=shards, storage="mmap", storage_dir=tmp,
-                        **options)
+                    resumed_engine = get_engine(
+                        "sharded", num_shards=shards, storage="mmap",
+                        storage_dir=tmp, **options)
                     start = time.perf_counter()
                     resumed = resumed_engine.run(graph, run_rounds,
                                                  track_kept=False, csr=csr)

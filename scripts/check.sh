@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI / pre-merge check: tier-1 tests, smoke runs of every example, the
-# unified benchmark harness (engines x parallel modes, kept-set
+# unified benchmark harness (engines x shard plans and thread mode, kept-set
 # reconstruction, cold/warm sessions, store restart, out-of-core mmap —
 # scripts/bench.py), the out-of-core mmap smoke (small graph forced through
 # storage=mmap, bit-identical to in-memory), the mmap-trajectory smoke
@@ -74,14 +74,13 @@ import tempfile
 import numpy as np
 
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
 from repro.graph.generators.random_graphs import barabasi_albert
 
 graph = barabasi_albert(2000, 3, seed=21)
 memory = get_engine("sharded:4").run(graph, 8, track_kept=True)
 with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
-    engine = ShardedEngine(num_shards=4, storage="mmap",
-                           trajectory_storage="mmap", storage_dir=tmp)
+    engine = get_engine("sharded", num_shards=4, storage="mmap",
+                        trajectory_storage="mmap", storage_dir=tmp)
     spilled = engine.run(graph, 8, track_kept=True)
     assert spilled.values == memory.values, "traj values differ from in-memory"
     assert spilled.kept == memory.kept, "traj kept sets differ from in-memory"
@@ -91,8 +90,8 @@ with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
         "trajectory did not spill to disk"
     engine.close()
     # A fresh engine must resume from the on-disk prefix, bit-identically.
-    resumed = ShardedEngine(num_shards=4, storage="mmap",
-                            trajectory_storage="mmap", storage_dir=tmp)
+    resumed = get_engine("sharded", num_shards=4, storage="mmap",
+                         trajectory_storage="mmap", storage_dir=tmp)
     longer = resumed.run(graph, 12, track_kept=False)
     reference = get_engine("sharded:4").run(graph, 12, track_kept=False)
     assert np.array_equal(longer.trajectory, reference.trajectory), \

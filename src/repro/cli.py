@@ -6,8 +6,8 @@ dataset) without writing Python::
     python -m repro coreness --dataset collab-small --epsilon 0.5 --top 10
     python -m repro coreness --input graph.edges --rounds 8 --output values.tsv
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded:4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --parallel process --workers 4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --storage mmap
+    python -m repro coreness --dataset social-ba --epsilon 0.5 --parallel thread --workers 4
+    python -m repro coreness --dataset social-ba --epsilon 0.5 --storage mmap
     python -m repro orientation --dataset caveman --weighted --epsilon 0.5
     python -m repro densest --input graph.edges --epsilon 1.0
     python -m repro batch --dataset caveman --dataset communities --epsilon 0.5 --rounds 4
@@ -85,20 +85,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--engine", default="vectorized", metavar="SPEC",
                          help="execution engine spec, e.g. 'vectorized', 'faithful', "
                               "'sharded:4' (see the 'engines' subcommand)")
-        sub.add_argument("--parallel", choices=("thread", "process"), default=None,
-                         help="shard parallel mode for the sharded engine "
-                              "(process breaks the GIL via shared memory)")
+        sub.add_argument("--parallel", choices=("thread",), default=None,
+                         help="run the vectorized engine's shards on a thread "
+                              "pool")
         sub.add_argument("--workers", type=int, default=None, metavar="N",
                          help="pool size for --parallel (default: the CPU count)")
         sub.add_argument("--storage", choices=("memory", "mmap", "auto"),
                          default=None,
-                         help="where the sharded engine keeps the CSR arrays: "
+                         help="where the vectorized engine keeps the CSR arrays: "
                               "'mmap' streams them from memory-mapped files "
                               "(out-of-core), 'auto' spills only when a --store "
                               "is set and the graph exceeds the threshold")
         sub.add_argument("--trajectory-storage",
                          choices=("memory", "mmap", "auto"), default=None,
-                         help="where the sharded engine keeps the elimination "
+                         help="where the vectorized engine keeps the elimination "
                               "trajectory: 'mmap' appends completed rounds to "
                               "an on-disk .traj buffer (out-of-core, "
                               "crash-resumable), 'auto' spills only when a "
@@ -268,7 +268,7 @@ def _resolve_engine(args: argparse.Namespace):
     """The engine instance for an engine-taking command.
 
     ``--parallel`` / ``--workers`` are forwarded as engine options, so they
-    compose with any spec (``--engine sharded:8 --parallel process``); engines
+    compose with any spec (``--engine sharded:8 --parallel thread``); engines
     that do not take them fail with the registry's invalid-option error.
     """
     options = {}
@@ -302,8 +302,10 @@ def _command_datasets(out) -> int:
 def _command_engines(out) -> int:
     rows = [[name, get_engine(name).describe()] for name in available_engines()]
     print(format_table(["name", "description"], rows), file=out)
-    print("# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,max_workers=2',\n"
-          "# 'sharded:workers=4,parallel=process' or 'sharded:storage=mmap' (out-of-core;\n"
+    print("# aliases: numpy and sharded spell vectorized; simulation and distsim\n"
+          "# spell faithful\n"
+          "# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,max_workers=2',\n"
+          "# 'sharded:workers=4,parallel=thread' or 'sharded:storage=mmap' (out-of-core;\n"
           "# also: --parallel/--workers/--storage flags)",
           file=out)
     return 0

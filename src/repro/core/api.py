@@ -97,9 +97,9 @@ def approximate_coreness(graph: Graph, *, epsilon: Optional[float] = None,
         Λ-grid parameter for message-size reduction (0 = exact values).
     engine:
         Anything :func:`repro.engine.get_engine` resolves: an engine instance,
-        ``"vectorized"`` (NumPy, fast — the default), ``"faithful"`` (alias
-        ``"simulation"``: per-node protocol with message statistics), or
-        ``"sharded"`` / ``"sharded:4"`` (bounded-memory shard-by-shard kernels).
+        ``"vectorized"`` (NumPy, fast — the default; ``"sharded:4"`` spells it
+        with 4 node-range shards) or ``"faithful"`` (alias ``"simulation"``:
+        per-node protocol with message statistics).
     """
     from repro.session import Session
 

@@ -17,7 +17,7 @@ Execution is delegated to the engine registry in :mod:`repro.engine`: the
 ``faithful`` engine wraps :func:`run_compact_elimination` (the per-node
 protocol, :class:`CompactEliminationProtocol`, on the synchronous simulator —
 the reference implementation, which also tracks message statistics), while the
-``vectorized`` and ``sharded`` engines execute the per-round NumPy kernels of
+``vectorized`` engine (alias ``sharded``) executes the per-round NumPy kernels of
 :mod:`repro.engine.kernels` on a CSR view.  All engines are property-tested to
 produce identical surviving numbers; auxiliary orientation subsets can be
 recovered from a trajectory with
@@ -219,8 +219,8 @@ def surviving_numbers_vectorized(csr: CSRAdjacency, rounds: int, *,
     remaining rows simply repeat it.
 
     This is the single-range special case of
-    :func:`repro.engine.kernels.compact_trajectory` (which the sharded engine
-    calls with a multi-range shard plan).
+    :func:`repro.engine.kernels.compact_trajectory` (which the vectorized
+    engine calls with its shard plan).
     """
     return compact_trajectory(csr, rounds, lam=lam)
 
@@ -254,9 +254,9 @@ def compact_elimination(graph: Graph, rounds: int, *, lam: float = 0.0,
 
     ``engine`` is anything :func:`repro.engine.get_engine` resolves: an
     :class:`~repro.engine.base.Engine` instance, ``"faithful"`` (alias
-    ``"simulation"``) for the per-node protocol, ``"vectorized"`` (default) for
-    the whole-graph NumPy kernels, or ``"sharded"`` / ``"sharded:4"`` for the
-    bounded-memory shard-by-shard executor.  When ``track_kept`` is set the
+    ``"simulation"``) for the per-node protocol, or ``"vectorized"`` (default)
+    for the NumPy kernels (``"sharded:4"`` spells it with 4 node-range
+    shards).  When ``track_kept`` is set the
     array engines recover the auxiliary orientation subsets by replaying the
     final Update locally per node (see
     :func:`repro.core.orientation.kept_sets_from_trajectory`).

@@ -6,8 +6,8 @@ through :func:`~repro.engine.base.get_engine`:
 
 >>> from repro.engine import get_engine, available_engines
 >>> available_engines()
-('faithful', 'sharded', 'vectorized')
->>> engine = get_engine("sharded", num_shards=4)
+('faithful', 'vectorized')
+>>> engine = get_engine("sharded", num_shards=4)  # an alias of "vectorized"
 
 The per-round NumPy kernels shared by the array engines are in
 :mod:`repro.engine.kernels`; multi-job execution with shared per-graph sessions

@@ -6,31 +6,29 @@ elimination procedure): given a graph and a round budget it produces a
 property-tested — to compute the same surviving numbers, kept sets and
 orientations; they differ only in *how* the synchronous rounds are executed:
 
-============  ===============================================================
-name          implementation
-============  ===============================================================
-``faithful``  the per-node message-passing protocol on the distsim simulator
-              (reference semantics, message statistics; alias ``simulation``)
-``vectorized``  NumPy kernels over the whole CSR view in one shot per round
-              (alias ``numpy``)
-``sharded``   the same kernels executed shard-by-shard over contiguous node
-              ranges, bounding peak memory to one shard's frontier arrays;
-              optionally fanned out over a thread pool
-              (``parallel=thread``) or — breaking the GIL ceiling — over a
-              shared-memory process pool (``parallel=process``); with
-              ``storage=mmap`` the CSR arrays stream from memory-mapped
-              files on disk (out-of-core; see :mod:`repro.graph.mmap_csr`),
-              and with ``trajectory_storage=mmap`` (alias ``traj=mmap``) the
-              output trajectory is appended to an on-disk ``.traj`` buffer
-              (see :mod:`repro.store.traj`)
-============  ===============================================================
+==============  =============================================================
+name            implementation
+==============  =============================================================
+``faithful``    the per-node message-passing protocol on the distsim simulator
+                (reference semantics, message statistics; aliases
+                ``simulation``, ``distsim``)
+``vectorized``  NumPy kernels over contiguous node-range shards of the CSR
+                view (one whole-graph range up to ~16k nodes); optionally
+                fanned out over a thread pool (``parallel=thread``); with
+                ``storage=mmap`` the CSR arrays stream from memory-mapped
+                files on disk (out-of-core; see :mod:`repro.graph.mmap_csr`),
+                and with ``trajectory_storage=mmap`` (alias ``traj=mmap``)
+                the output trajectory is appended to an on-disk ``.traj``
+                buffer (see :mod:`repro.store.traj`); aliases ``numpy``,
+                ``sharded``
+==============  =============================================================
 
 Engines are resolved by name through :func:`get_engine`, which also accepts an
 *engine spec* carrying inline options, e.g. ``"sharded:4"`` (4 shards),
-``"sharded:shards=4,workers=2"``, ``"sharded:workers=4,parallel=process"`` or
-``"sharded:storage=mmap"``.  Third-party backends can hook in with
+``"sharded:shards=4,workers=2"``, ``"vectorized:workers=2,parallel=thread"``
+or ``"sharded:storage=mmap"``.  Third-party backends can hook in with
 :func:`register_engine`; the registry is the extension point for every future
-execution backend (multiprocessing, GPU, out-of-core...).
+execution backend (GPU, ...).
 """
 
 from __future__ import annotations
@@ -166,7 +164,7 @@ def get_engine(engine: EngineLike = "vectorized", **options) -> Engine:
 
     ``engine`` may be an :class:`Engine` instance (returned as-is; extra options
     are rejected), a canonical name or alias (``"faithful"``/``"simulation"``,
-    ``"vectorized"``/``"numpy"``, ``"sharded"``), or a spec string with inline
+    ``"vectorized"``/``"numpy"``/``"sharded"``), or a spec string with inline
     options such as ``"sharded:4"``.  Keyword ``options`` are merged over the
     inline ones and handed to the engine factory.
 
@@ -210,25 +208,19 @@ def _make_faithful(**options) -> Engine:
     return FaithfulEngine(**options)
 
 
+#: Friendly spelling aliases accepted in vectorized engine specs.
+_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers",
+                   "dir": "storage_dir", "spill": "spill_bytes",
+                   "traj": "trajectory_storage"}
+
+
 def _make_vectorized(**options) -> Engine:
     from repro.engine.vectorized import VectorizedEngine
 
-    return VectorizedEngine(**options)
-
-
-#: Friendly spelling aliases accepted in sharded engine specs.
-_SHARDED_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers",
-                           "dir": "storage_dir", "spill": "spill_bytes",
-                           "traj": "trajectory_storage"}
-
-
-def _make_sharded(**options) -> Engine:
-    from repro.engine.sharded import ShardedEngine
-
-    return ShardedEngine(**{_SHARDED_OPTION_ALIASES.get(k, k): v
-                            for k, v in options.items()})
+    return VectorizedEngine(**{_OPTION_ALIASES.get(k, k): v
+                               for k, v in options.items()})
 
 
 register_engine("faithful", _make_faithful, aliases=("simulation", "distsim"))
-register_engine("vectorized", _make_vectorized, aliases=("numpy",))
-register_engine("sharded", _make_sharded, shorthand_option="num_shards")
+register_engine("vectorized", _make_vectorized, aliases=("numpy", "sharded"),
+                shorthand_option="num_shards")

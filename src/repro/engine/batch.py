@@ -150,7 +150,7 @@ class BatchRunner:
         #: persistent artifact store handed to every opened session (optional;
         #: an :class:`~repro.store.ArtifactStore` or its root directory), so
         #: batch runs resume from — and extend — the on-disk cache.  When the
-        #: engine supports memory-mapped storage (the sharded engine), the
+        #: engine supports memory-mapped storage (the vectorized engine), the
         #: sessions also bind the store root for out-of-core auto-spill:
         #: graphs whose edge arrays exceed the engine's ``spill_bytes`` run
         #: over mapped files under ``<store>/<fingerprint>/csr/``.

@@ -18,7 +18,7 @@ composes the *same* kernels instead of re-implementing them:
 
 Every kernel takes an explicit ``[lo, hi)`` node range and only materialises the
 frontier arrays (gathered neighbour values, sort permutation, prefix sums) for
-that range, which is what bounds the peak memory of the sharded engine: with a
+that range, which is what bounds the peak memory of the array engine: with a
 shard plan of ``k`` ranges, at most one range's frontier arrays exist at a time
 (unless a concurrent executor is supplied, in which case each in-flight shard
 owns one set).
@@ -136,10 +136,7 @@ def init_trajectory(num_nodes: int, rounds: int,
 
     Returns ``(trajectory, start)``: row 0 is the initial ``+inf`` state, rows
     ``1..start`` are copied verbatim from ``prefix`` (clamped to ``rounds``),
-    and the round loop should resume at ``start + 1``.  Shared by every
-    trajectory executor (:func:`compact_trajectory` and the process-parallel
-    path in :mod:`repro.engine.shm`) so prefix semantics cannot drift between
-    them.
+    and the round loop should resume at ``start + 1``.
 
     When ``out`` is an :class:`~repro.store.traj.AppendTrajectory`, no RAM
     array is allocated: the first element of the return value is ``out``

@@ -1,25 +1,97 @@
-"""The ``vectorized`` engine — whole-graph NumPy kernels, one call per round.
+"""The array engine — Algorithm 2's per-round NumPy kernels over a CSR view.
 
-Also home of :class:`TrajectoryEngine`, the shared base class for every engine
-that computes the full per-round trajectory on a CSR view (the sharded engine
-subclasses it with a different round executor).
+One engine class, :class:`VectorizedEngine`, serves the ``vectorized``,
+``numpy`` and ``sharded`` specs.  The CSR arrays are partitioned into
+contiguous node-range shards; each synchronous round executes the
+compact-elimination kernel shard-by-shard, every shard reading the previous
+round's full surviving-number vector and writing only its own range.
+Synchronous-round semantics are therefore exact, while peak memory for the
+frontier arrays (gathered neighbour values, sort permutation, prefix sums —
+the ``O(m)`` part) is bounded by the largest shard.  The default plan sizes
+shards to about :data:`DEFAULT_SHARD_NODES` nodes, so a small graph runs as
+one whole-graph kernel call per round.
+
+``parallel`` selects how the shards of a round execute:
+
+* ``None`` (default) — sequentially, which caps peak frontier memory at a
+  single shard;
+* ``"thread"`` — on a reusable ``concurrent.futures.ThreadPoolExecutor``
+  (NumPy releases the GIL in the sort and reduction kernels, so threads
+  overlap the heavy parts of a round without copying the CSR arrays).
+
+Orthogonally, ``storage`` selects where the CSR arrays *live* during the run:
+
+* ``None`` (auto) — in memory, unless a storage directory has been bound (a
+  :class:`~repro.session.Session` with a persistent store binds its root) and
+  the edge arrays exceed ``spill_bytes``, in which case the run spills;
+* ``"memory"`` — always in memory, never spills;
+* ``"mmap"`` — the out-of-core mode: the arrays are materialised once under
+  ``<storage_dir>/<fingerprint>/csr/`` (:mod:`repro.graph.mmap_csr` — the
+  artifact store's per-fingerprint layout, written atomically and revalidated
+  by content fingerprint) and the round kernels execute over read-only
+  ``np.memmap`` views, so resident memory stays O(n + shard frontier) while
+  the O(m) arrays page in from disk on demand.
+
+A third axis, ``trajectory_storage``, selects where the *output* — the
+``(T+1) × n`` elimination trajectory, the single largest allocation at scale —
+lives during the run:
+
+* ``None`` (auto) — in memory, unless a storage directory is bound and the
+  full trajectory would exceed ``spill_bytes``;
+* ``"memory"`` — always a RAM array;
+* ``"mmap"`` — completed rounds are *appended* to
+  ``<storage_dir>/<fingerprint>/trajectory-lam<λ>.traj/`` (the append-only
+  artifact of :mod:`repro.store.traj`, published with atomic header updates),
+  only a sliding window of two rows stays resident, and the returned
+  trajectory is a read-only ``np.memmap`` over the published prefix.  The
+  rows already on disk are their own warm start: a fresh engine pointed at
+  the same directory resumes after the last published round, which is also
+  what makes a crash-interrupted run recoverable (at most the un-published
+  round is lost, never a readable prefix).
+
+All modes produce bit-identical trajectories: the kernels run the same float64
+operations in the same order whether their operands are in RAM or a mapped
+file (the cross-engine equivalence suite pins this down to the float64
+representation).
+
+Also home of :class:`TrajectoryEngine`, the base class for engines that
+compute the full per-round trajectory on a CSR view.
 """
 
 from __future__ import annotations
 
-import inspect
+import os
+import tempfile
+import weakref
+from collections import OrderedDict
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from repro.engine.base import Engine
 from repro.engine.kernels import (FrontierWarmStart, compact_trajectory,
-                                  frontier_trajectory)
+                                  frontier_trajectory, shard_plan)
 from repro.errors import AlgorithmError
 from repro.obs import trace as obs_trace
 
+#: Target number of nodes per shard when ``num_shards`` is not given.
+DEFAULT_SHARD_NODES = 16384
+
+#: Auto-spill threshold: edge arrays (indices + weights) — or the full
+#: trajectory — beyond this many bytes run memory-mapped when a storage
+#: directory is bound (256 MiB).
+DEFAULT_SPILL_BYTES = 256 * 1024 * 1024
+
+#: Most-recently-used mapped graphs an engine keeps open at once.  Each
+#: cached view pins four ``np.memmap`` file descriptors, so an engine shared
+#: across many graphs (a long-lived BatchRunner) must not grow unboundedly;
+#: an evicted view simply re-opens (cheap revalidation) on its next request.
+MAX_MAPPED_GRAPHS = 8
+
 
 class TrajectoryEngine(Engine):
-    """Base class for CSR-trajectory engines (vectorized, sharded, ...).
+    """Base class for engines that compute the trajectory on a CSR view.
 
     Subclasses implement :meth:`trajectory`; this class handles argument
     validation, CSR conversion, label mapping and the recovery of the auxiliary
@@ -43,39 +115,19 @@ class TrajectoryEngine(Engine):
             grid = grid_for_graph(graph, lam)
         with obs_trace.span("engine.run", engine=self.name, rounds=rounds,
                             lam=lam, n=csr.num_nodes):
+            trajectory = None
             if isinstance(warm_start, FrontierWarmStart):
                 # Delta-derived graph: try the frontier-restricted re-solve
-                # against the parent trajectory.  It shares the per-round
-                # kernel with every trajectory engine, so one branch here
-                # covers the vectorized engine and all sharded modes; a None
-                # return (parent too short, frontier too wide) falls through
-                # to the ordinary cold path below.
+                # against the parent trajectory.  A None return (parent too
+                # short, frontier too wide) falls through to the cold path.
                 trajectory = frontier_trajectory(csr, rounds, lam=lam,
                                                  warm=warm_start)
-                if trajectory is not None:
-                    return self.assemble(csr, trajectory, rounds, grid,
-                                         tie_break=tie_break,
-                                         track_kept=track_kept)
                 warm_start = None
-            if warm_start is not None and self._trajectory_accepts_prefix():
+            if trajectory is None:
                 trajectory = self.trajectory(csr, rounds, lam=lam,
                                              prefix=warm_start)
-            else:
-                # Subclasses written against the original hint-free
-                # trajectory() signature keep working: they just recompute
-                # every round.
-                trajectory = self.trajectory(csr, rounds, lam=lam)
             return self.assemble(csr, trajectory, rounds, grid,
                                  tie_break=tie_break, track_kept=track_kept)
-
-    def _trajectory_accepts_prefix(self) -> bool:
-        cached = getattr(self, "_prefix_support", None)
-        if cached is None:
-            params = inspect.signature(self.trajectory).parameters
-            cached = "prefix" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
-            self._prefix_support = cached
-        return cached
 
     @staticmethod
     def assemble(csr, trajectory, rounds, grid, *, tie_break="history",
@@ -103,20 +155,306 @@ class TrajectoryEngine(Engine):
     def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
         """The ``(rounds + 1, n)`` per-round surviving-number trajectory.
 
-        ``prefix`` is an optional earlier trajectory of the same CSR view and λ;
-        subclasses resume after its last row (see
+        ``prefix`` is an optional earlier trajectory of the same CSR view and
+        λ; implementations resume after its last row (see
         :func:`repro.engine.kernels.compact_trajectory`).
         """
         raise NotImplementedError
 
 
+def _mode(option: str, value, accepted, hint: str, nulls=("", "none")):
+    """Normalise a mode option (case-insensitive; ``nulls`` spell ``None``)."""
+    if isinstance(value, str):
+        value = value.strip().lower()
+        value = None if value in nulls else value
+    if value is not None and value not in accepted:
+        raise AlgorithmError(f"unknown {option} mode {value!r}; {hint}")
+    return value
+
+
 class VectorizedEngine(TrajectoryEngine):
-    """Fast path: every round is a single whole-graph kernel invocation."""
+    """The array engine: rounds execute as NumPy kernels over node-range shards.
+
+    Parameters
+    ----------
+    num_shards:
+        Number of contiguous node-range shards (clamped to ``n``).  ``None``
+        sizes shards automatically to about :data:`DEFAULT_SHARD_NODES` nodes —
+        except in the thread mode, where at least ``max_workers`` shards are
+        planned so every worker has a range to own.
+    max_workers:
+        Thread-pool size.  ``None`` defaults to the machine's CPU count when
+        ``parallel`` is set; setting it without ``parallel`` implies
+        ``parallel="thread"``.
+    parallel:
+        ``None`` (sequential shards, the memory-bounded default) or
+        ``"thread"`` — see the module docstring.
+    storage:
+        ``None`` (auto-spill when a directory is bound and the graph is big),
+        ``"memory"`` (never spill) or ``"mmap"`` (always run over mapped
+        arrays) — see the module docstring.
+    storage_dir:
+        Root directory for the mapped arrays (the artifact-store root when a
+        session binds one).  ``storage="mmap"`` without a directory maps into
+        a private temporary directory owned by the engine instance.
+    spill_bytes:
+        Auto-spill threshold in bytes (default :data:`DEFAULT_SPILL_BYTES`);
+        consulted by the auto modes of both ``storage`` (against the edge
+        arrays) and ``trajectory_storage`` (against the full trajectory).
+    trajectory_storage:
+        ``None`` (auto-spill when a directory is bound and the trajectory is
+        big), ``"memory"`` (always a RAM array) or ``"mmap"`` (append rounds
+        to the on-disk ``.traj`` buffer) — see the module docstring.
+    """
 
     name = "vectorized"
 
+    #: Session wiring hook: engines exposing this accept a bound storage root.
+    supports_mmap = True
+
+    def __init__(self, num_shards: Optional[int] = None,
+                 max_workers: Optional[int] = None,
+                 parallel: Optional[str] = None,
+                 storage: Optional[str] = None,
+                 storage_dir=None,
+                 spill_bytes: Optional[int] = None,
+                 trajectory_storage: Optional[str] = None) -> None:
+        if num_shards is not None and num_shards < 1:
+            raise AlgorithmError(f"num_shards must be >= 1, got {num_shards}")
+        if max_workers is not None and max_workers < 1:
+            raise AlgorithmError(f"max_workers must be >= 1, got {max_workers}")
+        if spill_bytes is not None and spill_bytes < 0:
+            raise AlgorithmError(f"spill_bytes must be >= 0, got {spill_bytes}")
+        parallel = _mode("parallel", parallel, ("thread",),
+                         "use parallel=thread for a shard thread pool, or "
+                         "leave it unset for sequential shards")
+        storage_hint = "expected one of 'memory', 'mmap' or 'auto'"
+        self.storage = _mode("storage", storage, ("memory", "mmap"),
+                             storage_hint, nulls=("", "none", "auto"))
+        self.trajectory_storage = _mode(
+            "trajectory_storage", trajectory_storage, ("memory", "mmap"),
+            storage_hint, nulls=("", "none", "auto"))
+        if parallel is None and max_workers is not None:
+            parallel = "thread"  # historical spelling: workers implied threads
+        self.num_shards = num_shards
+        self.max_workers = max_workers
+        self.parallel = parallel
+        self.storage_dir = Path(storage_dir) if storage_dir is not None else None
+        self.spill_bytes = DEFAULT_SPILL_BYTES if spill_bytes is None \
+            else int(spill_bytes)
+        self._private_dir: Optional[tempfile.TemporaryDirectory] = None
+        #: whether storage_dir came from bind_storage (a session's store)
+        #: rather than the constructor — rebinding to a *different* store is
+        #: then a configuration error, not something to silently ignore.
+        self._bound_dir = False
+        #: a second store root bound after the first (see bind_storage)
+        self._foreign_root: Optional[Path] = None
+        #: fingerprint -> MappedCSR views this engine already opened (LRU,
+        #: at most MAX_MAPPED_GRAPHS); the revalidation in materialize_csr is
+        #: cheap but re-opening maps per round-loop call is not free, and
+        #: repeated requests on one graph are the session layer's whole shape.
+        self._mapped_cache: "OrderedDict[str, object]" = OrderedDict()
+        #: id(csr) -> (weakref to the csr, fingerprint): hashing the O(m)
+        #: arrays once per *graph* instead of once per call.  The weakref
+        #: guards against id() reuse after a graph is collected.
+        self._fingerprints: dict = {}
+        #: lazily created thread pool, reused across trajectory() calls (a
+        #: fresh pool per call pays thread spawn/teardown on every warm
+        #: request); close() or garbage collection shuts it down.
+        self._thread_pool = None
+        self._pool_finalizer = None
+
+    # ------------------------------------------------------------------ storage
+    def bind_storage(self, root, *, spill_bytes: Optional[int] = None) -> None:
+        """Give the engine a directory for memory-mapped arrays.
+
+        Called by :class:`~repro.session.Session` when a persistent store is
+        configured, so out-of-core runs spill into the store's own
+        per-fingerprint layout.  An explicitly constructed ``storage_dir``
+        wins — binding never overrides it.
+
+        One instance may serve sessions on several stores as long as it never
+        spills: a second store's sessions must not spill into the first
+        store's root, which its ``purge``/``evict`` then own.  So binding a
+        *different* store raises at once when the engine always spills
+        (``storage`` or ``trajectory_storage`` set to ``"mmap"``), and
+        otherwise makes every later spill raise.
+        """
+        root = Path(root)
+        if self.storage_dir is None:
+            self.storage_dir = root
+            self._bound_dir = True
+        elif self._bound_dir and self.storage_dir != root:
+            if "mmap" in (self.storage, self.trajectory_storage):
+                raise self._store_conflict(root)
+            self._foreign_root = root
+        if spill_bytes is not None:
+            self.spill_bytes = int(spill_bytes)
+
+    def _store_conflict(self, root: Path) -> AlgorithmError:
+        return AlgorithmError(
+            f"engine already spills into {self.storage_dir}; one engine "
+            f"instance cannot serve a second store at {root} — construct "
+            f"a separate engine (or pass storage_dir=) per store")
+
+    def _storage_root(self) -> Path:
+        """The directory mapped arrays live under (private tmp as last resort)."""
+        if self._foreign_root is not None:
+            raise self._store_conflict(self._foreign_root)
+        if self.storage_dir is not None:
+            return self.storage_dir
+        if self._private_dir is None:
+            self._private_dir = tempfile.TemporaryDirectory(prefix="repro-mmap-")
+        return Path(self._private_dir.name)
+
+    def _spills(self, mode: Optional[str], nbytes: int) -> bool:
+        """Whether a ``storage``-style ``mode`` puts ``nbytes`` on disk."""
+        if mode is not None:
+            return mode == "mmap"
+        return self.storage_dir is not None and nbytes >= self.spill_bytes
+
+    def _uses_mmap(self, csr) -> bool:
+        """Whether this run executes over mapped CSR arrays."""
+        from repro.graph.mmap_csr import csr_edge_bytes
+
+        return self._spills(self.storage, csr_edge_bytes(csr))
+
+    def _uses_traj_mmap(self, csr, rounds: int) -> bool:
+        """Whether this run appends its trajectory to a mapped ``.traj`` file."""
+        return self._spills(self.trajectory_storage,
+                            (int(rounds) + 1) * csr.num_nodes * 8)
+
+    def _trajectory_sink(self, csr, rounds: int, lam: float):
+        """The :class:`~repro.store.traj.AppendTrajectory` sink, or None.
+
+        Keyed by the CSR content fingerprint and canonical λ under the same
+        per-fingerprint root the mapped CSR arrays use, so a session's store
+        and the engine read/write the very same file.
+        """
+        if csr.num_nodes < 1 or not self._uses_traj_mmap(csr, rounds):
+            return None
+        from repro.store.traj import AppendTrajectory
+
+        fingerprint = getattr(csr, "fingerprint", None) or self._fingerprint_of(csr)
+        return AppendTrajectory.open(self._storage_root(), fingerprint, lam,
+                                     num_nodes=csr.num_nodes)
+
+    def _fingerprint_of(self, csr) -> str:
+        """The (memoised) content fingerprint of ``csr``.
+
+        Hashing the O(m) arrays every call would dominate warm requests on
+        exactly the graphs that spill, so the digest is computed once per
+        live CSR object; a weakref detects id() reuse after collection.
+        """
+        from repro.graph.csr import csr_fingerprint
+
+        key = id(csr)
+        hit = self._fingerprints.get(key)
+        if hit is not None and hit[0]() is csr:
+            return hit[1]
+        fingerprint = csr_fingerprint(csr)
+        # Opportunistically drop entries whose csr was collected (their ids
+        # may be reused by unrelated objects, and the dict must not grow
+        # with every graph the engine ever saw).
+        dead = [k for k, (ref, _) in self._fingerprints.items() if ref() is None]
+        for k in dead:
+            del self._fingerprints[k]
+        self._fingerprints[key] = (weakref.ref(csr), fingerprint)
+        return fingerprint
+
+    def _mapped_view(self, csr):
+        """The (LRU-cached) :class:`~repro.graph.mmap_csr.MappedCSR` of ``csr``."""
+        from repro.graph.mmap_csr import mmap_csr
+
+        fingerprint = self._fingerprint_of(csr)
+        hit = self._mapped_cache.get(fingerprint)
+        if hit is None:
+            hit = mmap_csr(csr, self._storage_root(), fingerprint=fingerprint)
+            self._mapped_cache[fingerprint] = hit
+            while len(self._mapped_cache) > MAX_MAPPED_GRAPHS:
+                self._mapped_cache.popitem(last=False)  # drops 4 memmap fds
+        else:
+            self._mapped_cache.move_to_end(fingerprint)
+        return hit
+
+    # ---------------------------------------------------------------- execution
+    def effective_workers(self) -> int:
+        """The thread-pool size the thread mode will actually use."""
+        if self.parallel is None:
+            return 1
+        if self.max_workers is not None:
+            return self.max_workers
+        return max(1, os.cpu_count() or 1)
+
+    def plan_for(self, num_nodes: int):
+        """The shard plan (contiguous ``[lo, hi)`` ranges) used for ``num_nodes``."""
+        if self.num_shards is not None:
+            shards = self.num_shards
+        else:
+            # Auto-sizing must not starve the pool: plan at least one range
+            # per worker (still clamped to n inside shard_plan).
+            shards = max(-(-num_nodes // DEFAULT_SHARD_NODES),
+                         self.effective_workers())
+        return shard_plan(num_nodes, shards)
+
+    def _ensure_thread_pool(self):
+        """The engine's reusable thread pool (created on first parallel run).
+
+        One pool per engine instance, shut down by :meth:`close` — and, as a
+        backstop, by a ``weakref.finalize`` when the engine is collected — so
+        warm requests stop paying thread spawn/teardown per ``trajectory()``
+        call.
+        """
+        pool = self._thread_pool
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=self.effective_workers(),
+                                      thread_name_prefix="repro-shard")
+            self._thread_pool = pool
+            self._pool_finalizer = weakref.finalize(
+                self, pool.shutdown, wait=False)
+        return pool
+
+    def close(self) -> None:
+        """Release pooled resources (idempotent; the engine stays usable)."""
+        pool, self._thread_pool = self._thread_pool, None
+        if pool is not None:
+            if self._pool_finalizer is not None:
+                self._pool_finalizer.detach()
+                self._pool_finalizer = None
+            pool.shutdown(wait=True)
+
     def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
-        return compact_trajectory(csr, rounds, lam=lam, prefix=prefix)
+        plan = self.plan_for(csr.num_nodes)
+        view = self._mapped_view(csr) if self._uses_mmap(csr) else csr
+        sink = self._trajectory_sink(view, rounds, lam)
+        shard_map = None
+        if self.parallel is not None and len(plan) > 1:
+            shard_map = self._ensure_thread_pool().map
+        try:
+            with obs_trace.span(
+                    "engine.trajectory", shards=len(plan),
+                    parallel=self.parallel or "sequential",
+                    storage="mmap" if view is not csr else "memory",
+                    trajectory="mmap" if sink is not None else "memory"):
+                return compact_trajectory(view, rounds, lam=lam, plan=plan,
+                                          shard_map=shard_map, prefix=prefix,
+                                          out=sink)
+        finally:
+            if sink is not None:
+                sink.close()
 
     def describe(self) -> str:
-        return "vectorized (whole-graph NumPy kernels)"
+        shards = self.num_shards if self.num_shards is not None \
+            else f"auto(~{DEFAULT_SHARD_NODES} nodes)"
+        if self.parallel is None:
+            workers = "sequential"
+        else:
+            workers = f"{self.parallel}x{self.effective_workers()}"
+        storage = self.storage or (
+            "auto" if self.storage_dir is not None else "memory")
+        trajectory = self.trajectory_storage or (
+            "auto" if self.storage_dir is not None else "memory")
+        return (f"vectorized (shards={shards}, workers={workers}, "
+                f"storage={storage}, trajectory={trajectory})")

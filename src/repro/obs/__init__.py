@@ -5,12 +5,11 @@ Two halves, both disabled-by-default and dependency-free:
 * **Tracing** (:mod:`repro.obs.trace`) — hierarchical wall-clock spans
   (``obs.span("session.solve", lam=0.0)``) recorded into a bounded in-memory
   ring and, optionally, a JSONL file.  Span context propagates across the
-  serving worker pool and into ``sharded:parallel=process`` workers (the
-  context rides the existing task payloads; workers return child-span records
-  tagged with their shard ranges).  A recorded JSONL trace renders to Chrome
-  trace-event format (``repro trace export --chrome``) so a solve opens in
-  Perfetto, and aggregates to a per-span-name latency table
-  (``repro trace summarize``).  When tracing is disabled — the default —
+  serving worker pool and the array engine's shard threads (the context
+  rides the existing task payloads; shard spans carry their node ranges).
+  A recorded JSONL trace renders to Chrome trace-event format
+  (``repro trace export --chrome``) so a solve opens in Perfetto, and
+  aggregates to a per-span-name latency table (``repro trace summarize``).  When tracing is disabled — the default —
   ``span()`` returns a shared no-op object; the hot paths pay one module
   attribute read per span site (the ``obs_overhead`` bench scenario pins the
   end-to-end cost).
@@ -39,7 +38,6 @@ from repro.obs.trace import (
     enable,
     enabled,
     read_jsonl,
-    remote_span_record,
     span,
     summarize,
     timed,
@@ -68,7 +66,6 @@ __all__ = [
     "enable",
     "enabled",
     "read_jsonl",
-    "remote_span_record",
     "span",
     "summarize",
     "timed",

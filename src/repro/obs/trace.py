@@ -23,10 +23,7 @@ Span records are plain JSON-safe dicts::
 
 Parenting is implicit through a per-thread span stack; spans recorded from
 worker threads pass the submitting thread's :class:`SpanContext` explicitly
-(``obs_trace.span(..., parent=ctx)``), and ``sharded:parallel=process``
-workers — which cannot reach the parent's tracer at all — build record dicts
-with :func:`remote_span_record` and ship them back in the task result for the
-parent to :meth:`Tracer.ingest`.
+(``obs_trace.span(..., parent=ctx)``).
 
 ``read_jsonl`` / ``chrome_trace`` / ``summarize`` turn a recorded JSONL file
 into a Perfetto-openable Chrome trace-event document or a per-span-name
@@ -57,7 +54,6 @@ __all__ = [
     "enable",
     "enabled",
     "read_jsonl",
-    "remote_span_record",
     "span",
     "summarize",
     "timed",
@@ -68,7 +64,7 @@ _IDS = itertools.count(1)
 
 def _new_id() -> str:
     # ``itertools.count.__next__`` is atomic under the GIL; the pid prefix
-    # keeps ids unique across ``parallel=process`` workers.
+    # keeps ids unique across processes writing one JSONL file.
     return f"{os.getpid():x}-{next(_IDS):x}"
 
 
@@ -250,10 +246,9 @@ class Span:
 class _Timed:
     """Always-measuring context manager; records a span only when enabled.
 
-    This is the drop-in replacement for the deprecated
-    ``repro.utils.timers.Timer``: the elapsed wall time is available as
-    ``.seconds`` whether or not tracing is on, so experiment scripts can
-    keep reporting durations while traced runs additionally get a span.
+    The elapsed wall time is available as ``.seconds`` whether or not
+    tracing is on, so experiment scripts can keep reporting durations while
+    traced runs additionally get a span.
     """
 
     __slots__ = ("name", "attrs", "seconds", "_start_perf", "_start_unix")
@@ -357,11 +352,6 @@ class Tracer:
         })
         return SpanContext(trace_id, span_id)
 
-    def ingest(self, record: Dict[str, Any]) -> None:
-        """Adopt a record produced elsewhere (e.g. a process worker)."""
-        if isinstance(record, dict) and "name" in record:
-            self._record(dict(record))
-
     def spans(self) -> List[Dict[str, Any]]:
         with self._lock:
             return list(self._ring)
@@ -446,30 +436,6 @@ def current_context() -> Optional[SpanContext]:
     if stack:
         return stack[-1].context
     return None
-
-
-def remote_span_record(name: str, wire: Optional[Sequence[str]], *,
-                       start_unix: float, duration: float,
-                       attrs: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Build a span record in a worker that has no tracer of its own.
-
-    ``wire`` is the parent's ``SpanContext.to_wire()`` tuple as shipped in
-    the task payload (empty strings mean "no parent").  The caller returns
-    the dict to the coordinating process, which :meth:`Tracer.ingest`\\ s it.
-    """
-    trace_id = str(wire[0]) if wire and wire[0] else _new_id()
-    parent_id = str(wire[1]) if wire and len(wire) > 1 and wire[1] else None
-    return {
-        "name": str(name),
-        "trace": trace_id,
-        "span": _new_id(),
-        "parent": parent_id,
-        "ts": float(start_unix),
-        "dur": max(0.0, float(duration)),
-        "pid": os.getpid(),
-        "tid": threading.get_ident(),
-        "attrs": _clean_attrs(attrs),
-    }
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ Three serving behaviours, shared by both:
 * **session safety** — sessions are single-threaded by design (their caches
   are plain dicts), so execution is serialised per graph; concurrency comes
   from distinct graphs, from in-flight dedup, and from the engines themselves
-  (NumPy kernels release the GIL; ``sharded:parallel=process`` sidesteps it).
+  (NumPy kernels release the GIL; ``parallel=thread`` shards a round).
 
 Results are **bit-identical to sequential execution**: per-graph serialisation
 means every job sees the same cache state transitions as some sequential order,
@@ -284,7 +284,7 @@ class JobQueue(_AsyncFrontend):
             engine if engine is not None else "vectorized",
             store=store, **engine_options)
         #: id(graph) -> (weakref to the graph, its serialisation lock).  Like
-        #: ShardedEngine._fingerprints: the weakref detects id() reuse after a
+        #: VectorizedEngine._fingerprints: the weakref detects id() reuse after a
         #: graph is collected (an aliased lock would serialise unrelated
         #: graphs — or worse, hand a recycled id a lock some thread holds),
         #: and dead entries are pruned so a long-lived queue's lock map does

@@ -142,8 +142,8 @@ class Session:
         (``disk_hits`` / ``disk_misses`` / ``disk_writes``).  Opening a store
         builds the CSR view once even for the faithful engine (the content
         fingerprint hashes it).  An engine that supports memory-mapped
-        storage (the sharded engine) is additionally bound to the store root:
-        graphs whose edge arrays exceed its spill threshold — or any graph
+        storage (the vectorized engine) is additionally bound to the store
+        root: graphs whose edge arrays exceed its spill threshold — or any graph
         under ``storage="mmap"`` — execute over arrays mapped from
         ``<store>/<fingerprint>/csr/`` instead of RAM (out-of-core mode,
         bit-identical results).
@@ -482,12 +482,11 @@ class Session:
                     if loaded is not None:
                         self._cache_put(self._results, key, loaded)
                         return loaded
-                # The warm-start hint only goes to engines that will actually
-                # consume it (and `warm` only counts as reuse then); engines
+                # The warm-start hint only goes to engines whose run()
+                # declares it (and `warm` only counts as reuse then); engines
                 # written against hint-free signatures keep working unchanged,
                 # with every round honestly counted as executed.
-                warm = prefix if "warm_start" in self._run_hints \
-                    and self._engine_takes_prefix() else None
+                warm = prefix if "warm_start" in self._run_hints else None
                 run_kwargs = {}
                 if "csr" in self._run_hints:
                     run_kwargs["csr"] = self.csr
@@ -632,18 +631,6 @@ class Session:
                                    tie_break=tie_break, track_kept=track_kept,
                                    labels=self.csr.labels())
             self.stats.disk_writes += 1
-
-    def _engine_takes_prefix(self) -> bool:
-        """Whether the engine can exploit a warm-start prefix.
-
-        An engine whose ``run()`` declares ``warm_start`` is assumed to honour
-        the documented contract; trajectory engines additionally expose
-        ``_trajectory_accepts_prefix`` so that subclasses written against the
-        hint-free ``trajectory()`` signature are not handed (and not credited
-        for) a prefix they would recompute anyway.
-        """
-        probe = getattr(self.engine, "_trajectory_accepts_prefix", None)
-        return True if probe is None else bool(probe())
 
     def _sliced_result(self, T: int, lam: float, prefix: np.ndarray, *,
                        tie_break: str, track_kept: bool) -> SurvivingNumbers:

@@ -398,7 +398,7 @@ class ArtifactStore:
         path = self.lineage_path(chain_fingerprint)
         with obs_trace.span("store.record_lineage",
                             fingerprint=chain_fingerprint,
-                            parent=parent_fingerprint):
+                            parent_fingerprint=parent_fingerprint):
             self._atomic_write(path, (json.dumps(doc, indent=2) + "\n")
                                .encode("utf-8"))
         return path

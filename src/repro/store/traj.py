@@ -261,9 +261,7 @@ class AppendTrajectory:
         """Atomically publish ``rounds`` as the completed round count.
 
         Rows through ``rounds`` must already be on disk (written by this
-        handle, or — in the process-parallel mode — by workers mapping
-        :meth:`rows_spec` slices).  The rows are flushed *before* the header
-        replace, so a reader that sees the new header can read every row it
+        handle).  The rows are flushed *before* the header replace, so a reader that sees the new header can read every row it
         advertises.
         """
         # publish() runs once per round on the spilled hot path, so the span
@@ -334,25 +332,6 @@ class AppendTrajectory:
             self._write_rows(lo, np.broadcast_to(row, (k, self.num_nodes)))
             lo += k
         self.publish(rounds)
-
-    # ------------------------------------------------------- process-pool hooks
-    def presize(self, rounds: int) -> None:
-        """Grow ``rows.bin`` to hold ``rounds + 1`` rows (unpublished tail).
-
-        The process-parallel mode pre-sizes the file so every worker can map
-        the full ``(rounds+1, n)`` region and write its shard's row-slices in
-        place.  The tail stays *unpublished* until the parent's per-round
-        :meth:`publish`, so a crash mid-run leaves the previous header (and
-        its fully-written prefix) in charge.
-        """
-        need = (int(rounds) + 1) * self._rowbytes
-        self._file.flush()
-        if os.fstat(self._file.fileno()).st_size < need:
-            os.ftruncate(self._file.fileno(), need)
-
-    def rows_spec(self, rounds: int) -> tuple:
-        """``(path, rows, n)`` for workers to re-map ``rows.bin`` by path."""
-        return (str(self.directory / ROWS_NAME), int(rounds) + 1, self.num_nodes)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

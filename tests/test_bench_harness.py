@@ -47,7 +47,7 @@ def test_smoke_run_emits_valid_document(tmp_path):
     bench.validate_document(document)  # raises on any schema violation
     assert document["smoke"] is True
     assert {row["config"] for row in document["engines"]} >= {
-        "vectorized", "sharded-seq", "sharded-thread", "sharded-process"}
+        "vectorized", "sharded-seq", "sharded-thread"}
     assert {row["tie_break"] for row in document["kept_sets"]} == {
         "history", "stable", "naive"}
     # The vectorised kept-set path must beat the reference loop even on the
@@ -60,8 +60,7 @@ def test_smoke_run_emits_valid_document(tmp_path):
     # The out-of-core scenario ran over mapped files, bit-identically.
     assert document["out_of_core"]
     assert {row["config"] for row in document["out_of_core"]} == {
-        "mmap-seq", "mmap-process",
-        "mmap-traj-seq", "mmap-traj-thread", "mmap-traj-process"}
+        "mmap-seq", "mmap-thread", "mmap-traj-seq", "mmap-traj-thread"}
     assert all(row["identical"] and row["csr_bytes_on_disk"] > 0
                for row in document["out_of_core"])
     # The spilled-trajectory configs wrote the .traj buffer and resumed from

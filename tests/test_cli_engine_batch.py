@@ -50,11 +50,28 @@ class TestEngineFlag:
                      "--top", "3"], out=mapped) == 0
         assert mapped.getvalue() == baseline.getvalue()
 
-    def test_storage_flag_rejected_for_non_sharded_engines(self, k6_file):
+    def test_storage_flag_rejected_for_non_array_engines(self, k6_file):
         code = main(["coreness", "--input", str(k6_file), "--rounds", "2",
-                     "--engine", "vectorized", "--storage", "mmap"],
+                     "--engine", "faithful", "--storage", "mmap"],
                     out=io.StringIO())
         assert code == 2
+
+    def test_parallel_thread_flag_matches_sequential(self, k6_file):
+        sequential, threaded = io.StringIO(), io.StringIO()
+        assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
+                     "--engine", "sharded:2"], out=sequential) == 0
+        assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
+                     "--engine", "sharded:2", "--parallel", "thread",
+                     "--workers", "2"], out=threaded) == 0
+        assert threaded.getvalue() == sequential.getvalue()
+
+    def test_parallel_process_flag_is_rejected(self, k6_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["coreness", "--input", str(k6_file), "--rounds", "2",
+                  "--parallel", "process"], out=io.StringIO())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--parallel" in err and "invalid choice" in err and "thread" in err
 
     def test_non_finite_lambda_is_reported_cleanly(self, k6_file):
         code = main(["coreness", "--input", str(k6_file), "--rounds", "2",

@@ -1,8 +1,8 @@
 """Timing comparisons between the array engines (excluded from tier-1).
 
-Run with ``python -m pytest -m bench`` (see pytest.ini).  The acceptance bar —
-sharded within 2x of vectorized on a 100k-node graph — is checked by
-``scripts/bench_engines.py``; this in-suite variant uses a smaller graph so it
+Run with ``python -m pytest -m bench`` (see pytest.ini).  The full engine
+comparison — shard plans, thread mode and out-of-core rows on larger graphs —
+is ``scripts/bench.py``; this in-suite variant uses a smaller graph so it
 stays runnable anywhere.
 """
 

@@ -1,13 +1,14 @@
 """Cross-engine equivalence property suite.
 
 The contract of the execution layer (repro.engine) is that every engine —
-``faithful`` (per-node protocol), ``vectorized`` (whole-graph kernels) and
-``sharded`` (shard-by-shard kernels, any shard count) — computes *identical*
-per-round surviving numbers, kept sets and orientations.
+``faithful`` (per-node protocol) and ``vectorized`` (node-range shard kernels,
+any shard plan, sequential or threaded, in RAM or memory-mapped) — computes
+*identical* per-round surviving numbers, kept sets and orientations.
 
 The graph corpus below has ~50 seeded cases covering self-loops, integer and
 dyadic edge weights, disconnected pieces, isolated nodes, stars/cycles/paths,
-dense cliques and random graphs.  All weights are integers or dyadic rationals,
+dense cliques and random graphs; the cross-engine test adds one graph larger
+than a default shard, so the default plan itself runs several shards.  All weights are integers or dyadic rationals,
 so every intermediate weight sum is exactly representable in float64 and the
 equality assertions are *bit-identical*, not approximate (see the numerical
 note in :mod:`repro.engine.kernels`).
@@ -21,7 +22,7 @@ import pytest
 from repro.core.orientation import orientation_from_kept
 from repro.core.surviving import run_compact_elimination
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import DEFAULT_SHARD_NODES, VectorizedEngine
 from repro.errors import SimulationError
 from repro.graph.generators.community import core_periphery, planted_partition
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
@@ -138,20 +139,24 @@ def _corpus():
 
 CORPUS = _corpus()
 
+#: A graph beyond one default shard: ``vectorized`` itself plans two ranges.
+MULTI_SHARD = pytest.param(
+    with_uniform_integer_weights(
+        barabasi_albert(DEFAULT_SHARD_NODES + 100, 2, seed=7), 1, 5, seed=3),
+    2, id="ba-weighted-multi-shard")
+
 #: Shard counts exercised per graph: trivial (1), small, and >= n (clamped).
 SHARD_COUNTS = (1, 2, 5, 10_000)
 
 
 def _shard_variants(graph):
-    return [ShardedEngine(num_shards=k) for k in SHARD_COUNTS] + \
-        [ShardedEngine(num_shards=3, max_workers=2),
-         ShardedEngine(num_shards=3, max_workers=2, parallel="process"),
+    return [VectorizedEngine(num_shards=k) for k in SHARD_COUNTS] + \
+        [VectorizedEngine(num_shards=3, max_workers=2),
          # Out-of-core: the same kernels over memory-mapped CSR files (a
-         # private temp dir per engine), sequential and process-pool — the
+         # private temp dir per engine), sequential and threaded — the
          # bit-identity contract covers every storage backend too.
-         ShardedEngine(num_shards=3, storage="mmap"),
-         ShardedEngine(num_shards=3, max_workers=2, parallel="process",
-                       storage="mmap")]
+         VectorizedEngine(num_shards=3, storage="mmap"),
+         VectorizedEngine(num_shards=3, max_workers=2, storage="mmap")]
 
 
 class TestCorpusSize:
@@ -160,12 +165,12 @@ class TestCorpusSize:
 
 
 class TestCrossEngineEquivalence:
-    @pytest.mark.parametrize("graph, rounds", CORPUS)
+    @pytest.mark.parametrize("graph, rounds", CORPUS + [MULTI_SHARD])
     def test_values_kept_and_orientation_identical(self, graph, rounds):
         vec = get_engine("vectorized").run(graph, rounds, track_kept=True)
         reference_orientation = orientation_from_kept(graph, vec.kept, values=vec.values)
 
-        # sharded, several shard counts (1, small, >= n) and a threaded variant:
+        # several shard counts (1, small, >= n) and threaded/mapped variants:
         # bit-identical trajectory, values, kept sets and orientation.
         for engine in _shard_variants(graph):
             sharded = engine.run(graph, rounds, track_kept=True)
@@ -183,7 +188,7 @@ class TestCrossEngineEquivalence:
         orientation = orientation_from_kept(graph, faithful.kept, values=faithful.values)
         assert orientation.assignment == reference_orientation.assignment
 
-    @pytest.mark.parametrize("graph, rounds", CORPUS[::5])
+    @pytest.mark.parametrize("graph, rounds", CORPUS[::5] + [MULTI_SHARD])
     def test_per_round_values_match_faithful(self, graph, rounds):
         """Row t of the array trajectory == the protocol's values after t rounds."""
         vec = get_engine("vectorized").run(graph, rounds, track_kept=False)
@@ -223,6 +228,47 @@ class TestCrossEngineEquivalence:
         """The simulator cannot instantiate zero nodes; documented asymmetry."""
         with pytest.raises(SimulationError):
             get_engine("faithful").run(Graph(), 2)
+
+
+class TestThreadModeExecution:
+    """Thread-pool shards: prefix resume, short plans and degenerate graphs."""
+
+    def test_prefix_resume_is_bit_identical(self):
+        graph = barabasi_albert(300, 3, seed=5)
+        engine = get_engine("sharded", num_shards=4, max_workers=2,
+                            parallel="thread")
+        full = engine.run(graph, 6, track_kept=False)
+        short = engine.run(graph, 3, track_kept=False)
+        resumed = engine.run(graph, 6, track_kept=False,
+                             warm_start=short.trajectory)
+        assert np.array_equal(resumed.trajectory, full.trajectory)
+        engine.close()
+
+    def test_prefix_covering_every_round_is_sliced(self):
+        graph = path_graph(40)
+        engine = VectorizedEngine(num_shards=4, max_workers=2, parallel="thread")
+        full = engine.run(graph, 4, track_kept=False)
+        sliced = engine.run(graph, 2, track_kept=False,
+                            warm_start=full.trajectory)
+        assert np.array_equal(sliced.trajectory, full.trajectory[:3])
+        engine.close()
+
+    def test_single_shard_falls_back_to_sequential(self):
+        graph = complete_graph(6)
+        engine = VectorizedEngine(num_shards=1, max_workers=2, parallel="thread")
+        result = engine.run(graph, 3, track_kept=True)
+        reference = get_engine("vectorized").run(graph, 3, track_kept=True)
+        assert result.values == reference.values
+        assert engine._thread_pool is None  # one range: no pool spawned
+
+    def test_empty_and_single_node_graphs(self):
+        engine = VectorizedEngine(num_shards=4, max_workers=2, parallel="thread")
+        empty = engine.run(Graph(), 2)
+        assert empty.values == {}
+        lonely = Graph(edges=[("v", "v", 2.0)])
+        result = engine.run(lonely, 2)
+        assert result.values == {"v": 2.0}
+        engine.close()
 
 
 class TestKeptSetReconstruction:

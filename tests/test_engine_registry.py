@@ -13,14 +13,13 @@ from repro.engine import (
     register_engine,
 )
 from repro.engine.kernels import shard_plan
-from repro.engine.sharded import ShardedEngine
-from repro.engine.vectorized import VectorizedEngine
+from repro.engine.vectorized import DEFAULT_SHARD_NODES, VectorizedEngine
 from repro.errors import AlgorithmError
 
 
 class TestRegistryResolution:
     def test_builtin_names_resolve(self):
-        assert available_engines() == ("faithful", "sharded", "vectorized")
+        assert available_engines() == ("faithful", "vectorized")
         for name in available_engines():
             engine = get_engine(name)
             assert isinstance(engine, Engine)
@@ -30,9 +29,15 @@ class TestRegistryResolution:
         ("simulation", "faithful"),
         ("distsim", "faithful"),
         ("numpy", "vectorized"),
+        ("sharded", "vectorized"),
     ])
     def test_aliases_resolve(self, alias, canonical):
         assert get_engine(alias).name == canonical
+
+    @pytest.mark.parametrize("spec", ["vectorized", "numpy", "sharded",
+                                      "sharded:4", "vectorized:4", "numpy:4"])
+    def test_one_class_serves_every_array_spec(self, spec):
+        assert type(get_engine(spec)) is VectorizedEngine
 
     def test_names_are_case_insensitive(self):
         assert get_engine("Vectorized").name == "vectorized"
@@ -46,12 +51,12 @@ class TestRegistryResolution:
         assert isinstance(get_engine(), VectorizedEngine)
 
     def test_engine_instance_passes_through(self):
-        engine = ShardedEngine(num_shards=3)
+        engine = VectorizedEngine(num_shards=3)
         assert get_engine(engine) is engine
 
     def test_engine_instance_rejects_extra_options(self):
         with pytest.raises(AlgorithmError, match="already-constructed"):
-            get_engine(ShardedEngine(), num_shards=2)
+            get_engine(VectorizedEngine(), num_shards=2)
 
     def test_non_string_non_engine_rejected(self):
         with pytest.raises(AlgorithmError, match="name string or an Engine"):
@@ -74,7 +79,7 @@ class TestRegistryResolution:
     def test_compact_elimination_routes_through_registry(self, k6):
         with pytest.raises(AlgorithmError):
             compact_elimination(k6, 2, engine="quantum")
-        result = compact_elimination(k6, 2, engine=ShardedEngine(num_shards=2))
+        result = compact_elimination(k6, 2, engine=VectorizedEngine(num_shards=2))
         assert all(v == pytest.approx(5.0) for v in result.values.values())
 
 
@@ -97,7 +102,7 @@ class TestSpecParsing:
 
     def test_positional_rejected_without_shorthand(self):
         with pytest.raises(AlgorithmError, match="no positional option"):
-            get_engine("vectorized:4")
+            get_engine("faithful:4")
 
     def test_invalid_option_name_raises(self):
         with pytest.raises(AlgorithmError, match="invalid options"):
@@ -119,20 +124,61 @@ class TestSpecParsing:
 class TestShardedConstruction:
     def test_invalid_shard_count(self):
         with pytest.raises(AlgorithmError, match="num_shards must be >= 1"):
-            ShardedEngine(num_shards=0)
+            VectorizedEngine(num_shards=0)
 
     def test_invalid_worker_count(self):
         with pytest.raises(AlgorithmError, match="max_workers must be >= 1"):
-            ShardedEngine(max_workers=0)
+            VectorizedEngine(max_workers=0)
 
     def test_auto_plan_scales_with_graph(self):
-        engine = ShardedEngine()
+        engine = VectorizedEngine()
         assert engine.plan_for(100) == ((0, 100),)
+        assert engine.plan_for(DEFAULT_SHARD_NODES) == ((0, DEFAULT_SHARD_NODES),)
+        assert len(engine.plan_for(DEFAULT_SHARD_NODES + 1)) == 2
         plan = engine.plan_for(40000)
         assert len(plan) == 3
 
+    def test_parallel_mode_validation(self):
+        with pytest.raises(AlgorithmError, match="parallel"):
+            VectorizedEngine(parallel="gpu")
+        assert VectorizedEngine(parallel="none").parallel is None
+        assert VectorizedEngine(parallel="THREAD").parallel == "thread"
+
+    def test_workers_without_parallel_means_thread(self):
+        engine = VectorizedEngine(num_shards=3, max_workers=2)
+        assert engine.parallel == "thread"
+
+    def test_parallel_without_workers_defaults_to_cpu_count(self):
+        engine = VectorizedEngine(parallel="thread")
+        assert engine.effective_workers() >= 1
+
+    def test_spec_string_resolves_thread_mode(self):
+        engine = get_engine("sharded:shards=3,workers=2,parallel=thread")
+        assert isinstance(engine, VectorizedEngine)
+        assert (engine.num_shards, engine.max_workers, engine.parallel) == \
+            (3, 2, "thread")
+        assert "threadx2" in engine.describe()
+
+    def test_parallel_auto_plan_covers_workers(self):
+        engine = VectorizedEngine(parallel="thread", max_workers=4)
+        assert len(engine.plan_for(100)) == 4  # auto-sizing would give 1 shard
+        assert len(engine.plan_for(2)) == 2    # still clamped to n
+
+    def test_invalid_workers_rejected(self):
+        with pytest.raises(AlgorithmError, match="max_workers"):
+            VectorizedEngine(max_workers=0, parallel="thread")
+
     def test_describe_mentions_configuration(self):
-        assert "shards=4" in ShardedEngine(num_shards=4).describe()
+        assert "shards=4" in VectorizedEngine(num_shards=4).describe()
+
+    @pytest.mark.parametrize("build", [
+        lambda: get_engine("sharded:parallel=process"),
+        lambda: get_engine("vectorized", parallel="process"),
+        lambda: VectorizedEngine(num_shards=4, parallel="process"),
+    ])
+    def test_process_mode_is_rejected_towards_threads(self, build):
+        with pytest.raises(AlgorithmError, match="parallel=thread"):
+            build()
 
 
 class TestShardPlan:
@@ -153,4 +199,34 @@ class TestShardPlan:
 
     def test_invalid_shards(self):
         with pytest.raises(AlgorithmError):
+            shard_plan(5, 0)
+
+
+class TestShardPlanEdgeCases:
+    def test_more_shards_than_nodes_clamps_to_n(self):
+        plan = shard_plan(3, 10)
+        assert plan == ((0, 1), (1, 2), (2, 3))
+
+    def test_empty_graph_yields_single_empty_range(self):
+        assert shard_plan(0, 4) == ((0, 0),)
+        assert shard_plan(-1, 4) == ((0, 0),)
+
+    def test_single_node(self):
+        assert shard_plan(1, 1) == ((0, 1),)
+        assert shard_plan(1, 7) == ((0, 1),)
+
+    @pytest.mark.parametrize("n, k", [(10, 3), (11, 4), (7, 2), (100, 7), (5, 5)])
+    def test_uneven_ranges_cover_everything_once(self, n, k):
+        plan = shard_plan(n, k)
+        assert plan[0][0] == 0 and plan[-1][1] == n
+        for (_, hi), (lo, _) in zip(plan, plan[1:]):
+            assert hi == lo  # contiguous, disjoint
+        sizes = [hi - lo for lo, hi in plan]
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1  # near-equal
+        # the larger shards come first (the divmod remainder)
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_invalid_shard_count_raises(self):
+        with pytest.raises(AlgorithmError, match="num_shards"):
             shard_plan(5, 0)

@@ -1,14 +1,14 @@
 """The out-of-core CSR layer: materialisation, revalidation, mapped execution.
 
 Contract under test (see :mod:`repro.graph.mmap_csr` and the ``storage``
-option of :class:`repro.engine.sharded.ShardedEngine`):
+option of :class:`repro.engine.vectorized.VectorizedEngine`):
 
 * a CSR view round-trips bit-identically through the on-disk array files;
 * materialisation is write-once: a valid same-fingerprint directory is never
   rewritten, while truncation, corruption or a foreign fingerprint trigger a
   full rewrite (never a wrong answer);
-* the sharded engine's ``storage="mmap"`` mode — sequential, thread and
-  process-pool — produces bit-identical trajectories to the in-memory
+* the array engine's ``storage="mmap"`` mode — sequential and threaded —
+  produces bit-identical trajectories to the in-memory
   engines, including through a :class:`~repro.session.Session` with a
   persistent store (auto-spill);
 * malformed fingerprints never touch the filesystem.
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import MAX_MAPPED_GRAPHS, VectorizedEngine
 from repro.errors import AlgorithmError, StoreError
 from repro.graph.csr import csr_fingerprint, graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert
@@ -136,12 +136,10 @@ class TestMappedExecution:
 
     def _variants(self, tmp_path):
         return [
-            ShardedEngine(num_shards=4, storage="mmap", storage_dir=tmp_path),
-            ShardedEngine(num_shards=4, storage="mmap"),  # private tmp dir
-            ShardedEngine(num_shards=4, max_workers=2, parallel="thread",
-                          storage="mmap", storage_dir=tmp_path),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="process",
-                          storage="mmap", storage_dir=tmp_path),
+            VectorizedEngine(num_shards=4, storage="mmap", storage_dir=tmp_path),
+            VectorizedEngine(num_shards=4, storage="mmap"),  # private tmp dir
+            VectorizedEngine(num_shards=4, max_workers=2, parallel="thread",
+                                storage="mmap", storage_dir=tmp_path),
         ]
 
     def test_all_parallel_modes_bit_identical(self, graph, tmp_path):
@@ -154,8 +152,8 @@ class TestMappedExecution:
                 engine.describe()
 
     def test_mapped_view_is_cached_per_fingerprint(self, graph, tmp_path):
-        engine = ShardedEngine(num_shards=4, storage="mmap",
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(num_shards=4, storage="mmap",
+                                  storage_dir=tmp_path)
         engine.run(graph, 2, track_kept=False)
         assert len(engine._mapped_cache) == 1
         engine.run(graph, 3, track_kept=False)
@@ -163,7 +161,7 @@ class TestMappedExecution:
 
     def test_unknown_storage_mode_rejected(self):
         with pytest.raises(AlgorithmError, match="storage"):
-            ShardedEngine(storage="bogus")
+            VectorizedEngine(storage="bogus")
 
     def test_registry_spec_spells_storage(self):
         engine = get_engine("sharded:shards=4,storage=mmap")
@@ -171,19 +169,19 @@ class TestMappedExecution:
         assert "storage=mmap" in engine.describe()
 
     def test_memory_storage_never_spills(self, csr, tmp_path):
-        engine = ShardedEngine(storage="memory", spill_bytes=0)
+        engine = VectorizedEngine(storage="memory", spill_bytes=0)
         engine.bind_storage(tmp_path)
         assert not engine._uses_mmap(csr)
 
     def test_auto_spill_requires_a_bound_directory(self, csr, tmp_path):
-        engine = ShardedEngine(spill_bytes=0)
+        engine = VectorizedEngine(spill_bytes=0)
         assert not engine._uses_mmap(csr)  # nowhere to spill
         engine.bind_storage(tmp_path)
         assert engine._uses_mmap(csr)
 
     def test_bind_storage_never_overrides_explicit_dir(self, tmp_path):
         explicit = tmp_path / "explicit"
-        engine = ShardedEngine(storage="mmap", storage_dir=explicit)
+        engine = VectorizedEngine(storage="mmap", storage_dir=explicit)
         engine.bind_storage(tmp_path / "bound")
         assert engine.storage_dir == explicit
 
@@ -223,8 +221,8 @@ class TestEngineStorageHygiene:
                                                   monkeypatch):
         import repro.graph.csr as csr_module
 
-        engine = ShardedEngine(num_shards=4, storage="mmap",
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(num_shards=4, storage="mmap",
+                                  storage_dir=tmp_path)
         calls = {"n": 0}
         real = csr_module.csr_fingerprint
 
@@ -239,10 +237,8 @@ class TestEngineStorageHygiene:
         assert calls["n"] == 1  # warm requests must not re-hash O(m) arrays
 
     def test_mapped_cache_is_lru_bounded(self, tmp_path):
-        from repro.engine.sharded import MAX_MAPPED_GRAPHS
-
-        engine = ShardedEngine(num_shards=2, storage="mmap",
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(num_shards=2, storage="mmap",
+                                  storage_dir=tmp_path)
         graphs = [barabasi_albert(30, 2, seed=s)
                   for s in range(MAX_MAPPED_GRAPHS + 3)]
         for g in graphs:
@@ -253,18 +249,36 @@ class TestEngineStorageHygiene:
         assert result.values == get_engine("vectorized").run(
             graphs[0], 2, track_kept=False).values
 
-    def test_rebinding_one_engine_to_a_second_store_raises(self, tmp_path):
-        engine = ShardedEngine()
+    @pytest.mark.parametrize("option", ["storage", "trajectory_storage"])
+    def test_rebinding_one_engine_to_a_second_store_raises(self, tmp_path,
+                                                           option):
+        engine = VectorizedEngine(**{option: "mmap"})
         engine.bind_storage(tmp_path / "storeA")
         engine.bind_storage(tmp_path / "storeA")  # same root: idempotent
         with pytest.raises(AlgorithmError, match="second store"):
             engine.bind_storage(tmp_path / "storeB")
 
     def test_two_sessions_two_stores_need_two_engines(self, graph, tmp_path):
-        engine = ShardedEngine(num_shards=2)
+        engine = VectorizedEngine(num_shards=2, storage="mmap")
         Session(graph, engine=engine, store=ArtifactStore(tmp_path / "a"))
         with pytest.raises(AlgorithmError, match="second store"):
             Session(graph, engine=engine, store=ArtifactStore(tmp_path / "b"))
+
+    def test_a_shared_engine_serves_two_stores_until_it_spills(self, graph,
+                                                               tmp_path):
+        reference = Session(graph).coreness(rounds=4).values
+        engine = get_engine("vectorized")
+        first = Session(graph, engine=engine, store=ArtifactStore(tmp_path / "a"))
+        second = Session(graph, engine=engine,
+                         store=ArtifactStore(tmp_path / "b"))
+        assert first.coreness(rounds=4).values == reference
+        assert second.coreness(rounds=4).values == reference
+        assert engine.storage_dir == tmp_path / "a"
+        # A spill would land in the first store's root: refused instead.
+        engine.spill_bytes = 0
+        with pytest.raises(AlgorithmError, match="second store"):
+            second.coreness(rounds=6)
+        assert not (tmp_path / "a" / second.fingerprint / "csr").exists()
 
     def test_invalid_lambda_error_is_both_families(self):
         from repro.errors import InvalidLambdaError, ReproError

@@ -243,7 +243,7 @@ class TestGraphLockHygiene:
     a long-lived queue leaked one lock per graph it ever served — and a
     recycled ``id()`` could hand a brand-new graph a lock some thread still
     held for a dead one.  The map now holds weakrefs (like
-    ``ShardedEngine._fingerprints``) and prunes dead entries on access.
+    ``VectorizedEngine._fingerprints``) and prunes dead entries on access.
     """
 
     def _fresh_graph(self, seed):

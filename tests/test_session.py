@@ -341,34 +341,6 @@ class TestPrefixReuse:
         assert np.array_equal(resumed.trajectory, cold.trajectory)
         assert warm.stats.prefix_resumes == 1
 
-    def test_trajectory_subclass_with_hint_free_signature_still_works(
-            self, two_communities):
-        # A TrajectoryEngine subclass written against the original
-        # trajectory(csr, rounds, *, lam) signature must keep working even
-        # when the session offers a warm-start prefix (it just recomputes).
-        from repro.engine.kernels import compact_trajectory
-        from repro.engine.vectorized import TrajectoryEngine
-
-        class OldStyle(TrajectoryEngine):
-            name = "old-style"
-
-            def trajectory(self, csr, rounds, *, lam=0.0):
-                return compact_trajectory(csr, rounds, lam=lam)
-
-        session = Session(two_communities, engine=OldStyle())
-        session.surviving(rounds=3)
-        grown = session.surviving(rounds=7)   # prefix exists but is not forwarded
-        cold = Session(two_communities).surviving(rounds=7)
-        assert grown.values == cold.values
-        assert np.array_equal(grown.trajectory, cold.trajectory)
-        # stats stay honest: the engine recomputed every round, no reuse claimed
-        assert session.stats.prefix_resumes == 0
-        assert session.stats.rounds_reused == 0
-        assert session.stats.rounds_executed == 10
-        # ...while shrinking budgets are still served (and counted) as slices
-        session.surviving(rounds=2)
-        assert session.stats.trajectory_slices == 1
-
     def test_configured_problem_instances_do_not_share_cache_entries(self, k6):
         from repro.problems import DensestProblem
 

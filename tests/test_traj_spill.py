@@ -1,7 +1,7 @@
 """The out-of-core trajectory buffer: append protocol, engines, sessions.
 
 Contract under test (see :mod:`repro.store.traj` and the
-``trajectory_storage`` option of :class:`repro.engine.sharded.ShardedEngine`):
+``trajectory_storage`` option of :class:`repro.engine.vectorized.VectorizedEngine`):
 
 * the append protocol — rows first, then an atomic ``header.json`` publish —
   round-trips bit-identically, resumes from whatever prefix is on disk, and
@@ -9,7 +9,7 @@ Contract under test (see :mod:`repro.store.traj` and the
   never a wrong or unreadable prefix);
 * a foreign, corrupt or mismatching header reads as absent and a fresh writer
   starts over — corruption can cost a recompute, never a wrong answer;
-* every engine configuration (sequential, thread, process; CSR in memory or
+* every engine configuration (sequential or threaded; CSR in memory or
   mapped) with ``trajectory_storage="mmap"`` produces trajectories
   bit-identical to the in-memory engines, including after a simulated crash;
 * the thread-parallel mode reuses one pool per engine (and ``close`` shuts it
@@ -20,11 +20,13 @@ Contract under test (see :mod:`repro.store.traj` and the
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import VectorizedEngine
 from repro.errors import AlgorithmError, StoreError
 from repro.graph.csr import graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert
@@ -150,12 +152,11 @@ class TestAppendFormat:
             with pytest.raises(StoreError, match="not published"):
                 traj.row(5)
 
-    def test_presize_leaves_the_tail_unpublished(self, tmp_path):
+    def test_zero_filled_tail_stays_unpublished(self, tmp_path):
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             traj.ensure_prefix(_rows(2))
-            traj.presize(10)
-        assert rows_path(tmp_path, FP, 0.0).stat().st_size == 11 * 4 * 8
-        # The pre-sized (zeroed) region is exactly a torn tail: clamped out.
+        os.truncate(rows_path(tmp_path, FP, 0.0), 11 * 4 * 8)
+        # A grown (zeroed) region is exactly a torn tail: clamped out.
         assert published_rounds(tmp_path, FP, 0.0) == 1
 
     def test_minus_zero_lambda_addresses_the_same_artifact(self, tmp_path):
@@ -189,17 +190,14 @@ class TestEngineEquivalence:
 
     def _variants(self, tmp_path):
         return [
-            ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                          storage_dir=tmp_path / "a"),
-            ShardedEngine(num_shards=4, storage="mmap",
-                          trajectory_storage="mmap",
-                          storage_dir=tmp_path / "b"),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="thread",
-                          trajectory_storage="mmap",
-                          storage_dir=tmp_path / "c"),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="process",
-                          storage="mmap", trajectory_storage="mmap",
-                          storage_dir=tmp_path / "d"),
+            VectorizedEngine(num_shards=4, trajectory_storage="mmap",
+                             storage_dir=tmp_path / "a"),
+            VectorizedEngine(num_shards=4, storage="mmap",
+                             trajectory_storage="mmap",
+                             storage_dir=tmp_path / "b"),
+            VectorizedEngine(num_shards=4, max_workers=2, parallel="thread",
+                             trajectory_storage="mmap",
+                             storage_dir=tmp_path / "c"),
         ]
 
     def test_all_modes_bit_identical_and_spilled(self, graph, tmp_path):
@@ -217,20 +215,20 @@ class TestEngineEquivalence:
     def test_fresh_engine_resumes_from_the_spilled_prefix(self, graph,
                                                           tmp_path):
         reference = get_engine("vectorized").run(graph, 9, track_kept=False)
-        first = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                              storage_dir=tmp_path)
+        first = VectorizedEngine(num_shards=4, trajectory_storage="mmap",
+                                 storage_dir=tmp_path)
         first.run(graph, 5, track_kept=False)
         first.close()
-        resumed = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                                storage_dir=tmp_path)
+        resumed = VectorizedEngine(num_shards=4, trajectory_storage="mmap",
+                                   storage_dir=tmp_path)
         result = resumed.run(graph, 9, track_kept=False)
         assert np.array_equal(result.trajectory, reference.trajectory)
         resumed.close()
 
     def test_crash_recovery_through_the_engine(self, graph, tmp_path):
         reference = get_engine("vectorized").run(graph, 8, track_kept=False)
-        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(num_shards=4, trajectory_storage="mmap",
+                                  storage_dir=tmp_path)
         engine.run(graph, 8, track_kept=False)
         engine.close()
         fingerprint = next(p.name for p in tmp_path.iterdir()
@@ -239,8 +237,8 @@ class TestEngineEquivalence:
         with open(rows_path(tmp_path, fingerprint, 0.0), "r+b") as handle:
             handle.truncate(3 * graph.num_nodes * 8 + 17)
         assert published_rounds(tmp_path, fingerprint, 0.0) == 2
-        fresh = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                              storage_dir=tmp_path)
+        fresh = VectorizedEngine(num_shards=4, trajectory_storage="mmap",
+                                 storage_dir=tmp_path)
         result = fresh.run(graph, 8, track_kept=False)
         assert np.array_equal(result.trajectory, reference.trajectory)
         fresh.close()
@@ -252,27 +250,27 @@ class TestEngineEquivalence:
 
     def test_unknown_trajectory_storage_mode_rejected(self):
         with pytest.raises(AlgorithmError, match="trajectory_storage"):
-            ShardedEngine(trajectory_storage="bogus")
+            VectorizedEngine(trajectory_storage="bogus")
 
     def test_memory_mode_never_spills_the_trajectory(self, graph, tmp_path):
-        engine = ShardedEngine(trajectory_storage="memory", spill_bytes=0,
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(trajectory_storage="memory", spill_bytes=0,
+                                  storage_dir=tmp_path)
         assert not engine._uses_traj_mmap(graph_to_csr(graph), rounds=4)
 
     def test_auto_spill_needs_a_directory_and_a_big_trajectory(self, graph,
                                                                tmp_path):
         csr = graph_to_csr(graph)
-        homeless = ShardedEngine(spill_bytes=0)
+        homeless = VectorizedEngine(spill_bytes=0)
         assert not homeless._uses_traj_mmap(csr, rounds=4)  # nowhere to spill
-        bound = ShardedEngine(spill_bytes=0, storage_dir=tmp_path)
+        bound = VectorizedEngine(spill_bytes=0, storage_dir=tmp_path)
         assert bound._uses_traj_mmap(csr, rounds=4)
-        small = ShardedEngine(spill_bytes=1 << 40, storage_dir=tmp_path)
+        small = VectorizedEngine(spill_bytes=1 << 40, storage_dir=tmp_path)
         assert not small._uses_traj_mmap(csr, rounds=4)  # fits in memory
 
     def test_auto_spilled_run_matches_memory(self, graph, tmp_path):
         reference = get_engine("vectorized").run(graph, 5, track_kept=False)
-        engine = ShardedEngine(num_shards=4, spill_bytes=0,
-                               storage_dir=tmp_path)
+        engine = VectorizedEngine(num_shards=4, spill_bytes=0,
+                                  storage_dir=tmp_path)
         result = engine.run(graph, 5, track_kept=False)
         assert np.array_equal(result.trajectory, reference.trajectory)
         assert isinstance(result.trajectory, np.memmap)
@@ -283,7 +281,7 @@ class TestThreadPoolReuse:
     """Perf fix: one pool per engine, not a fresh ThreadPoolExecutor per call."""
 
     def test_pool_is_created_lazily_and_reused(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2, parallel="thread")
+        engine = VectorizedEngine(num_shards=4, max_workers=2, parallel="thread")
         assert engine._thread_pool is None
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
@@ -292,7 +290,7 @@ class TestThreadPoolReuse:
         assert engine._thread_pool is pool
 
     def test_close_shuts_the_pool_down(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2, parallel="thread")
+        engine = VectorizedEngine(num_shards=4, max_workers=2, parallel="thread")
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
         engine.close()
@@ -307,7 +305,7 @@ class TestThreadPoolReuse:
             graph, 3, track_kept=False).values
 
     def test_close_without_a_pool_is_a_noop(self):
-        ShardedEngine(num_shards=2).close()
+        VectorizedEngine(num_shards=2).close()
 
 
 class TestStoreIntegration:
