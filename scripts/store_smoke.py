@@ -9,7 +9,9 @@ contract of ``repro.store``:
 * its results are bit-identical to the first run's (values, kept sets and the
   full trajectory);
 * a stored short trajectory warm-starts a longer budget (prefix reuse
-  composes across restarts).
+  composes across restarts);
+* the cold run leaves a ``trajectory-lam*.traj/`` directory and no
+  ``trajectory-*.npz`` (``.traj`` is the store's only trajectory format).
 
 Exits non-zero on any violation.
 """
@@ -39,6 +41,11 @@ def main() -> int:
         cold_session = Session(graph, store=store)
         cold = cold_session.coreness(rounds=rounds)
         assert cold_session.stats.disk_writes >= 1, "cold run persisted nothing"
+        graph_dir = store.graph_dir(cold_session.fingerprint)
+        assert list(graph_dir.glob("trajectory-lam*.traj/rows.bin")), \
+            "cold run left no .traj trajectory"
+        assert not list(Path(tmp).rglob("trajectory-*.npz")), \
+            "a second trajectory format (.npz) came back"
 
         restarted = Session(graph, store=store)
         served = restarted.coreness(rounds=rounds)

@@ -137,7 +137,16 @@ def csr_mmap_dir(root, fingerprint: str) -> Path:
     return Path(root) / fingerprint / CSR_DIR_NAME
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Publish ``payload`` at ``path`` with one atomic ``os.replace``.
+
+    The parent directory is created when missing.  The temp file is hidden
+    (``.{name}.tmp-…``, which the store's management surface skips) and
+    unique per process *and* thread, so concurrent writers of one artifact
+    never share it: readers only ever observe complete files and the last
+    writer wins.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     try:
         tmp.write_bytes(payload)
@@ -216,8 +225,8 @@ def materialize_csr(csr: CSRAdjacency, root, *,
     meta = {"schema": MMAP_SCHEMA_VERSION, "fingerprint": fingerprint,
             "n": int(csr.num_nodes), "entries": int(csr.num_directed_entries),
             "arrays": arrays}
-    _atomic_write_bytes(directory / "meta.json",
-                        (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+    atomic_write_bytes(directory / "meta.json",
+                       (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
     return fingerprint, directory
 
 

@@ -40,7 +40,6 @@ tests and ``scripts/bench_session.py`` observe.
 from __future__ import annotations
 
 import inspect
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -540,7 +539,8 @@ class Session:
         known = self._disk_rounds.get(lam)
         if known is not None and known <= mem_rounds:
             return prefix
-        stored = self.store.load_trajectory(self.fingerprint, lam)
+        stored = self.store.load_trajectory(self.fingerprint, lam,
+                                            num_nodes=self.csr.num_nodes)
         if stored is None:
             self._disk_rounds[lam] = -1
             self.stats.disk_misses += 1
@@ -572,26 +572,6 @@ class Session:
         self.stats.rounds_reused += T
         return loaded
 
-    def _spilled_rounds(self, lam: float, best: np.ndarray) -> Optional[int]:
-        """Rounds the engine already published into the store's own ``.traj``
-        file, or None when ``best`` is not a view of that file.
-
-        A spilled-trajectory engine bound to this session's store returns a
-        read-only ``np.memmap`` over ``<root>/<fingerprint>/trajectory-lam<λ>
-        .traj/rows.bin`` — the rounds-on-disk metadata then comes from the
-        append header the engine published round-by-round, and re-writing the
-        monolithic ``.npz`` would only duplicate the bytes.
-        """
-        filename = getattr(best, "filename", None)
-        if not isinstance(best, np.memmap) or filename is None:
-            return None
-        from repro.store.traj import rows_path
-
-        expected = rows_path(self.store.root, self.fingerprint, lam)
-        if os.path.realpath(filename) != os.path.realpath(expected):
-            return None
-        return best.shape[0] - 1
-
     def _persist(self, lam: float, result: SurvivingNumbers, *, tie_break: str,
                  track_kept: bool) -> None:
         """Persist what this request added: the longest trajectory, or — for
@@ -602,26 +582,16 @@ class Session:
             best = self._trajectories.get(lam)
             if best is None:
                 return
-            spilled = self._spilled_rounds(lam, best)
-            if spilled is not None:
-                # Already on disk, appended round-by-round by the engine; no
-                # npz round-trip.  A crash mid-run would have lost at most
-                # the last un-published round, never a readable prefix.
-                disk = self._disk_rounds.get(lam)
-                if disk is None or spilled > disk:
-                    self._disk_rounds[lam] = spilled
-                    self.stats.disk_writes += 1
-                    self.store.record_graph(self.fingerprint,
-                                            self.csr.num_nodes,
-                                            self.csr.labels())
-                return
             disk = self._disk_rounds.get(lam)
             if disk is None:
                 # Disk state unknown (memory fully served so far): a cheap
-                # metadata read keeps us from clobbering a longer artifact.
-                stored = self.store.trajectory_rounds(self.fingerprint, lam)
+                # header read skips a save the store already holds.
+                stored = self.store.trajectory_rounds(
+                    self.fingerprint, lam, num_nodes=self.csr.num_nodes)
                 disk = self._disk_rounds[lam] = -1 if stored is None else stored
             if best.shape[0] - 1 > disk:
+                # Appends only the rows the file lacks: a no-op when the
+                # engine already appended them into the store's own file.
                 self.store.save_trajectory(self.fingerprint, lam, best,
                                            labels=self.csr.labels())
                 self._disk_rounds[lam] = best.shape[0] - 1

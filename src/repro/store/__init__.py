@@ -13,9 +13,9 @@ known graph resumes bit-identically from disk.
 >>> session.coreness(rounds=8)                          # doctest: +SKIP
 
 See :mod:`repro.store.store` for the on-disk layout, atomicity and corruption
-semantics, :mod:`repro.store.traj` for the append-only out-of-core trajectory
-buffer (``trajectory-lam<λ>.traj/``), and the ``repro cache`` CLI for
-inspection and purging.
+semantics, :mod:`repro.store.traj` for the append-only trajectory format
+(``trajectory-lam<λ>.traj/``, the only one the store reads or writes), and the
+``repro cache`` CLI for inspection and purging.
 """
 
 from repro.store.store import SCHEMA_VERSION, ArtifactStore, StoreError

@@ -1,12 +1,11 @@
-"""Append-only out-of-core elimination trajectories (``.traj`` artifacts).
+"""Append-only elimination trajectories: the store's one trajectory format.
 
 The elimination trajectory — the ``(T+1) × n`` float64 array at the heart of
-Algorithm 2 — is the single largest allocation at scale, dwarfing the CSR
-arrays that :mod:`repro.graph.mmap_csr` already spills.  This module stores a
-trajectory as an *append-only* on-disk buffer so the round loop keeps only a
-sliding window of rows resident, and so prefix-resume, ``Session`` restart and
-the artifact store all read the same file instead of round-tripping a
-monolithic ``.npz``::
+Algorithm 2 — is the artifact the store caches, and the single largest
+allocation at scale.  This module owns its on-disk layout.  Engines append
+rounds into it (keeping only a sliding window of rows resident),
+:class:`~repro.store.ArtifactStore` saves and loads through it, and
+prefix-resume and ``Session`` restarts read the very same file::
 
     <root>/
       <fingerprint>/                       # the store's content address
@@ -26,10 +25,11 @@ Append protocol (the crash-safety contract):
 * a writer appends the new row(s) *first*, flushes, and only then publishes
   the new round count with an atomic ``header.json`` replace — so a reader
   never observes a round the file does not fully hold;
+* ``rows.bin`` is never truncated once created — rows are only ever added
+  past the published prefix — so a live ``np.memmap`` of it stays valid;
 * readers clamp to ``min(header.rounds, file_rows - 1)``: a torn tail (a
-  crash mid-append, an interrupted truncate, a pre-sized-but-unwritten region
-  left by a killed process run) costs at most the unpublished rounds, never a
-  wrong or unreadable prefix;
+  crash mid-append or an interrupted write) costs at most the unpublished
+  rounds, never a wrong or unreadable prefix;
 * a crash between the row write and the header replace therefore loses at
   most the last un-published round.  (The protocol is crash-consistent
   against process crashes — the OS page cache holds flushed data; power-loss
@@ -37,10 +37,12 @@ Append protocol (the crash-safety contract):
 
 Because every round is a deterministic function of the previous row,
 concurrent appenders of the same ``(fingerprint, λ)`` write identical bytes
-to identical offsets and the last header wins — the same benign-race argument
-the ``.npz`` artifacts rely on.  A header that names a foreign fingerprint,
-schema or dtype reads as absent (and a fresh writer starts over): corruption
-can cost a recompute, never a wrong answer.
+to identical offsets and the last header wins.  A header that names a foreign
+fingerprint, schema, dtype or node count reads as absent (and a fresh writer
+starts over), and a short ``rows.bin`` is clamped: structural corruption can
+cost a recompute, never a wrong answer.  The rows carry no checksum, so
+damage that keeps ``rows.bin`` at its length (an in-place overwrite, a bit
+flip) is *not* detected and is served as stored.
 
 The default (and currently only) dtype is float64 — bit-identity with the
 in-memory engines is the contract.  A narrow ``float32`` flavour would be a
@@ -52,15 +54,14 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.mmap_csr import is_fingerprint
+from repro.graph.mmap_csr import atomic_write_bytes, is_fingerprint
 from repro.obs import trace as obs_trace
 from repro.utils.numeric import canonical_lam
 
@@ -80,9 +81,24 @@ TRAJ_DTYPE = "<f8"
 #: Bytes of fixed-point rows materialised at a time by :meth:`AppendTrajectory.fill_to`.
 _FILL_CHUNK_BYTES = 8 << 20
 
+#: Published prefixes at least this large are loaded as an ``np.memmap``;
+#: smaller ones are read into memory.  A memmap holds an open file
+#: descriptor for as long as any view of it lives (``mmap`` duplicates the
+#: descriptor), and a long-lived session or server caches one trajectory per
+#: ``(graph, λ)``, so only out-of-core-sized trajectories pay one.  Equal to
+#: the engines' auto-spill threshold (256 MiB).
+MAP_MIN_BYTES = 256 * 1024 * 1024
+
 
 def format_lam(lam: float) -> str:
-    """Exact, filename-safe spelling of a λ (``repr`` of the canonical float)."""
+    """Exact, filename-safe spelling of a λ (``repr`` of the canonical float).
+
+    Canonicalised through :func:`repro.utils.numeric.canonical_lam` so every
+    artifact filename agrees with the in-memory λ keys: ``-0.0`` spells
+    ``"0.0"`` (dict keys collapse the two, so the disk must too) and
+    non-finite values — which would mint un-reloadable artifact names —
+    raise ``ValueError`` at this boundary.
+    """
     return repr(canonical_lam(lam))
 
 
@@ -104,15 +120,6 @@ def is_traj_dir(path) -> bool:
     return name.startswith("trajectory-lam") and name.endswith(TRAJ_SUFFIX)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    try:
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _read_header(directory: Path) -> dict:
     """The parsed ``header.json`` of a ``.traj`` directory ({} when absent/corrupt)."""
     try:
@@ -122,14 +129,17 @@ def _read_header(directory: Path) -> dict:
     return header if isinstance(header, dict) else {}
 
 
-def _header_matches(header: dict, fingerprint: str, lam: float) -> bool:
-    """Whether ``header`` describes *this* ``(fingerprint, λ)`` artifact."""
+def _header_matches(header: dict, fingerprint: str, lam: float,
+                    num_nodes: int) -> bool:
+    """Whether ``header`` describes *this* ``(fingerprint, λ)`` artifact of a
+    ``num_nodes``-node graph (rows of another width do not fit the graph)."""
+    n = header.get("n")
     return (header.get("schema") == TRAJ_SCHEMA_VERSION
             and header.get("fingerprint") == fingerprint
             and header.get("lam") == canonical_lam(lam)
             and header.get("dtype") == TRAJ_DTYPE
-            and isinstance(header.get("n"), int) and header["n"] >= 1
-            and isinstance(header.get("rounds"), int))
+            and type(n) is int and n >= 1 and n == num_nodes
+            and type(header.get("rounds")) is int)
 
 
 def _clamped_rounds(directory: Path, header: dict) -> int:
@@ -148,34 +158,46 @@ def _clamped_rounds(directory: Path, header: dict) -> int:
     return min(int(header["rounds"]), size // (n * 8) - 1)
 
 
-def published_rounds(root, fingerprint: str, lam: float) -> Optional[int]:
-    """Round count of the published on-disk trajectory, or None when absent."""
+def _published(root, fingerprint: str, lam: float,
+               num_nodes: int) -> Tuple[Path, int]:
+    """``(directory, clamped rounds)``; rounds is -1 when absent."""
     directory = traj_dir(root, fingerprint, lam)
     header = _read_header(directory)
-    if not _header_matches(header, fingerprint, lam):
-        return None
-    rounds = _clamped_rounds(directory, header)
+    if not _header_matches(header, fingerprint, lam, num_nodes):
+        return directory, -1
+    return directory, _clamped_rounds(directory, header)
+
+
+def published_rounds(root, fingerprint: str, lam: float, *,
+                     num_nodes: int) -> Optional[int]:
+    """Round count of the published on-disk trajectory, or None when absent."""
+    rounds = _published(root, fingerprint, lam, num_nodes)[1]
     return rounds if rounds >= 0 else None
 
 
-def open_trajectory(root, fingerprint: str, lam: float) -> Optional[np.ndarray]:
-    """Read-only ``(rounds+1, n)`` view of the published prefix, or None.
+def open_trajectory(root, fingerprint: str, lam: float, *,
+                    num_nodes: int) -> Optional[np.ndarray]:
+    """Read-only ``(rounds+1, num_nodes)`` array of the published prefix, or None.
 
-    Absent, corrupted, foreign-fingerprint and fully-torn files all read as
-    None (a miss); a partially-torn file reads as its clamped prefix.
+    Absent, structurally corrupted, foreign-fingerprint, wrong-width and
+    fully-torn files all read as None (a miss); a partially-torn file reads
+    as its clamped prefix.  Prefixes of at least :data:`MAP_MIN_BYTES` are
+    served as an ``np.memmap``; smaller ones are read into memory.
     """
-    directory = traj_dir(root, fingerprint, lam)
-    header = _read_header(directory)
-    if not _header_matches(header, fingerprint, lam):
-        return None
-    rounds = _clamped_rounds(directory, header)
+    directory, rounds = _published(root, fingerprint, lam, num_nodes)
     if rounds < 0:
         return None
+    shape = (rounds + 1, num_nodes)
     try:
-        return np.memmap(directory / ROWS_NAME, dtype=np.float64, mode="r",
-                         shape=(rounds + 1, int(header["n"])))
+        if shape[0] * num_nodes * 8 >= MAP_MIN_BYTES:
+            return np.memmap(directory / ROWS_NAME, dtype=np.float64,
+                             mode="r", shape=shape)
+        rows = np.fromfile(directory / ROWS_NAME, dtype=np.float64,
+                           count=shape[0] * num_nodes).reshape(shape)
     except (OSError, ValueError):
         return None
+    rows.flags.writeable = False
+    return rows
 
 
 class AppendTrajectory:
@@ -203,8 +225,7 @@ class AppendTrajectory:
         self._rowbytes = self.num_nodes * 8
         self.directory.mkdir(parents=True, exist_ok=True)
         header = _read_header(self.directory)
-        if _header_matches(header, fingerprint, self.lam) \
-                and header.get("n") == self.num_nodes:
+        if _header_matches(header, fingerprint, self.lam, self.num_nodes):
             #: rounds published so far (-1: no rows yet), torn tails clamped.
             self.rounds = _clamped_rounds(self.directory, header)
         else:
@@ -213,8 +234,11 @@ class AppendTrajectory:
             (self.directory / ROWS_NAME).unlink(missing_ok=True)
             (self.directory / HEADER_NAME).unlink(missing_ok=True)
             self.rounds = -1
-        path = self.directory / ROWS_NAME
-        self._file = open(path, "r+b" if path.exists() else "w+b")
+        # Never O_TRUNC: a racing first writer may already have published
+        # rows that live readers have mapped, and truncating them under a
+        # mapping is a SIGBUS.  Rows are only ever added past the prefix.
+        fd = os.open(self.directory / ROWS_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        self._file = os.fdopen(fd, "r+b")
         self._closed = False
 
     @classmethod
@@ -261,8 +285,8 @@ class AppendTrajectory:
         """Atomically publish ``rounds`` as the completed round count.
 
         Rows through ``rounds`` must already be on disk (written by this
-        handle).  The rows are flushed *before* the header replace, so a reader that sees the new header can read every row it
-        advertises.
+        handle).  The rows are flushed *before* the header replace, so a
+        reader that sees the new header can read every row it advertises.
         """
         # publish() runs once per round on the spilled hot path, so the span
         # is explicitly gated: disabled tracing pays one None-check.
@@ -274,8 +298,8 @@ class AppendTrajectory:
         header = {"schema": TRAJ_SCHEMA_VERSION, "fingerprint": self.fingerprint,
                   "lam": self.lam, "n": self.num_nodes, "dtype": TRAJ_DTYPE,
                   "rounds": int(rounds)}
-        _atomic_write_bytes(self.directory / HEADER_NAME,
-                            (json.dumps(header, indent=2) + "\n").encode("utf-8"))
+        atomic_write_bytes(self.directory / HEADER_NAME,
+                           (json.dumps(header, indent=2) + "\n").encode("utf-8"))
         self.rounds = int(rounds)
         if tracer is not None:
             tracer.record_span(

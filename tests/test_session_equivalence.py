@@ -164,12 +164,13 @@ class TestStoreRestartMatrix:
         fresh = Session(two_communities, engine="sharded:3").coreness(rounds=6)
         assert served.values == fresh.values
 
+    @pytest.mark.parametrize("name", ["header.json", "rows.bin"])
     def test_corrupt_artifact_degrades_to_cold_run(self, tmp_path,
-                                                   two_communities):
+                                                   two_communities, name):
         store = ArtifactStore(tmp_path / "store")
         session = Session(two_communities, store=store)
         cold = session.coreness(rounds=6)
-        path = store._trajectory_path(session.fingerprint, 0.0)
+        path = store.traj_dir(session.fingerprint, 0.0) / name
         path.write_bytes(b"corrupted beyond recognition")
 
         restarted = Session(two_communities, store=store)
@@ -179,7 +180,9 @@ class TestStoreRestartMatrix:
         assert recomputed.values == cold.values
         # The recompute healed the store.
         assert restarted.stats.disk_writes == 1
-        assert store.load_trajectory(session.fingerprint, 0.0) is not None
+        assert store.load_trajectory(
+            session.fingerprint, 0.0,
+            num_nodes=session.csr.num_nodes) is not None
 
 
 class TestWireEquivalence:

@@ -4,10 +4,13 @@ Contract under test (see :mod:`repro.store.store`):
 
 * fingerprints are content addresses — stable across conversions, sensitive to
   any change in topology, weights or node labels;
-* trajectory and result artifacts round-trip bit-identically through ``.npz``;
+* trajectory artifacts round-trip bit-identically through the append-only
+  ``.traj`` layout, result artifacts through ``.npz``;
 * loads are corruption-tolerant: truncated, foreign, schema-mismatching and
   fingerprint-mismatching files all read as misses, never wrong answers;
-* writes are atomic (no temp files survive) and last-writer-wins;
+* writes are atomic (no temp files survive); a longer trajectory save
+  extends the stored one and a shorter one never truncates it;
+* a legacy ``trajectory-*.npz`` is never read (a miss), only managed;
 * ``purge`` / ``evict`` / ``info`` manage the footprint.
 """
 
@@ -23,6 +26,7 @@ from repro.errors import StoreError
 from repro.graph.csr import csr_fingerprint, graph_fingerprint, graph_to_csr
 from repro.graph.graph import Graph
 from repro.store import SCHEMA_VERSION, ArtifactStore
+from repro.store.traj import HEADER_NAME, ROWS_NAME, traj_dir
 
 
 @pytest.fixture
@@ -38,6 +42,19 @@ def csr(two_communities):
 @pytest.fixture
 def fingerprint(csr):
     return csr_fingerprint(csr)
+
+
+def _rows(count, n=4):
+    """``count`` distinct float64 rows of width ``n``."""
+    return np.arange(count * n, dtype=np.float64).reshape(count, n) + 1.0
+
+
+def _rewrite_header(store, fingerprint, /, **fields):
+    """Overwrite fields of the stored λ = 0 ``.traj`` header (a corruption)."""
+    path = traj_dir(store.root, fingerprint, 0.0) / HEADER_NAME
+    header = json.loads(path.read_text())
+    header.update(fields)
+    path.write_text(json.dumps(header))
 
 
 class TestFingerprint:
@@ -87,30 +104,88 @@ class TestTrajectoryArtifacts:
     def test_round_trip_bit_identical(self, store, csr, fingerprint):
         trajectory = get_engine("vectorized").run(
             csr.to_graph(), 6, track_kept=False).trajectory
-        store.save_trajectory(fingerprint, 0.0, trajectory, labels=csr.labels())
-        loaded = store.load_trajectory(fingerprint, 0.0)
+        path = store.save_trajectory(fingerprint, 0.0, trajectory,
+                                     labels=csr.labels())
+        assert path == traj_dir(store.root, fingerprint, 0.0) / ROWS_NAME
+        n = csr.num_nodes
+        loaded = store.load_trajectory(fingerprint, 0.0, num_nodes=n)
+        assert not isinstance(loaded, np.memmap)  # small: read, no fd held
+        assert not loaded.flags.writeable
         assert loaded.dtype == np.float64
         assert np.array_equal(loaded, trajectory)
-        assert store.trajectory_rounds(fingerprint, 0.0) == 6
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=n) == 6
+
+    def test_large_trajectories_load_as_read_only_memmaps(
+            self, store, fingerprint, monkeypatch):
+        import repro.store.traj as traj
+
+        monkeypatch.setattr(traj, "MAP_MIN_BYTES", _rows(3).nbytes)
+        store.save_trajectory(fingerprint, 0.0, _rows(3))
+        loaded = store.load_trajectory(fingerprint, 0.0, num_nodes=4)
+        assert isinstance(loaded, np.memmap) and not loaded.flags.writeable
+        assert np.array_equal(loaded, _rows(3))
+        store.save_trajectory(fingerprint, 0.5, _rows(2))  # below the bound
+        assert not isinstance(
+            store.load_trajectory(fingerprint, 0.5, num_nodes=4), np.memmap)
+
+    def test_restart_loads_hold_no_file_descriptors(self, store,
+                                                    two_communities):
+        # A long-lived session (or a server's per-graph sessions) keeps one
+        # loaded trajectory per λ; each must not pin an open descriptor, or
+        # a store-bound restart exhausts RLIMIT_NOFILE.
+        import os
+
+        from repro.session import Session
+
+        resource = pytest.importorskip("resource")
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        lams = [i / 64 for i in range(48)]
+        cold = Session(two_communities, store=store)
+        expected = [cold.coreness(rounds=4, lam=lam).values for lam in lams]
+
+        restarted = Session(two_communities, store=store)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (open_fds + 16, hard))
+        try:
+            served = [restarted.coreness(rounds=4, lam=lam).values
+                      for lam in lams]
+            held = len(os.listdir("/proc/self/fd")) - open_fds
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert served == expected
+        assert restarted.stats.disk_hits == len(lams)
+        assert restarted.stats.cold_runs == 0
+        assert held <= 0
 
     def test_missing_reads_as_none(self, store, fingerprint):
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.trajectory_rounds(fingerprint, 0.0) is None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
     def test_lambda_is_part_of_the_key(self, store, fingerprint):
         trajectory = np.zeros((3, 4))
         store.save_trajectory(fingerprint, 0.5, trajectory)
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.load_trajectory(fingerprint, 0.5) is not None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.load_trajectory(fingerprint, 0.5, num_nodes=4) is not None
 
-    def test_last_writer_wins(self, store, fingerprint):
-        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        store.save_trajectory(fingerprint, 0.0, np.ones((5, 4)))
-        assert store.trajectory_rounds(fingerprint, 0.0) == 4
+    def test_a_longer_save_extends_and_a_shorter_save_never_truncates(
+            self, store, fingerprint):
+        full = _rows(5)
+        store.save_trajectory(fingerprint, 0.0, full[:3])
+        path = store.save_trajectory(fingerprint, 0.0, full)
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) == 4
+        assert np.array_equal(
+            store.load_trajectory(fingerprint, 0.0, num_nodes=4), full)
+        assert store.save_trajectory(fingerprint, 0.0, full[:2]) == path
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) == 4
+        assert np.array_equal(
+            store.load_trajectory(fingerprint, 0.0, num_nodes=4), full)
+        assert path.stat().st_size == full.nbytes
 
     def test_no_temp_files_survive_a_write(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        leftovers = [p for p in store.graph_dir(fingerprint).iterdir()
+        leftovers = [p for p in store.graph_dir(fingerprint).rglob("*")
                      if ".tmp" in p.name]
         assert leftovers == []
 
@@ -126,46 +201,91 @@ class TestTrajectoryArtifacts:
 
 
 class TestCorruptionTolerance:
-    def test_truncated_file_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+    @pytest.mark.parametrize("name", [HEADER_NAME, ROWS_NAME])
+    def test_truncated_file_reads_as_miss(self, store, fingerprint, name):
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        path = traj_dir(store.root, fingerprint, 0.0) / name
         path.write_bytes(path.read_bytes()[:20])
-        assert store.load_trajectory(fingerprint, 0.0) is None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
-    def test_garbage_file_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        path.write_bytes(b"not a zip archive")
-        assert store.load_trajectory(fingerprint, 0.0) is None
+    @pytest.mark.parametrize("name", [HEADER_NAME, ROWS_NAME])
+    def test_garbage_file_reads_as_miss(self, store, fingerprint, name):
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        (traj_dir(store.root, fingerprint, 0.0) / name).write_bytes(
+            b"not a trajectory")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
+
+    def test_same_length_damage_to_rows_is_served_as_stored(self, store,
+                                                            fingerprint):
+        # The documented limit of the format: rows.bin carries no checksum,
+        # so damage that keeps its length (an in-place overwrite, a bit flip)
+        # passes the structural checks and is served verbatim.  Only the
+        # header and the file size are validated.
+        store.save_trajectory(fingerprint, 0.0, _rows(3))
+        path = traj_dir(store.root, fingerprint, 0.0) / ROWS_NAME
+        damaged = _rows(3)
+        damaged[1, 2] = -7.0
+        path.write_bytes(damaged.tobytes())
+        assert np.array_equal(
+            store.load_trajectory(fingerprint, 0.0, num_nodes=4), damaged)
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) == 2
 
     def test_foreign_fingerprint_reads_as_miss(self, store, fingerprint):
-        # A file copied under the wrong graph directory must not be served.
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        # A directory copied under the wrong graph directory must not be served.
+        import shutil
+
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
         other = "ab" * 32
-        target = store.graph_dir(other) / path.name
+        target = traj_dir(store.root, other, 0.0)
         target.parent.mkdir(parents=True)
-        target.write_bytes(path.read_bytes())
-        assert store.load_trajectory(other, 0.0) is None
+        shutil.copytree(traj_dir(store.root, fingerprint, 0.0), target)
+        assert store.load_trajectory(other, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(other, 0.0, num_nodes=4) is None
 
-    def test_schema_version_mismatch_reads_as_miss(self, store, csr, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": "repro-store/999", "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": 2, "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
+    def test_schema_version_mismatch_reads_as_miss(self, store, fingerprint):
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        _rewrite_header(store, fingerprint, schema="repro-traj/999")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
-    def test_shape_metadata_mismatch_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": 7, "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
+    def test_node_count_mismatch_reads_as_miss(self, store, fingerprint):
+        store.save_trajectory(fingerprint, 0.0, _rows(3))
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=5) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=5) is None
+        assert np.array_equal(
+            store.load_trajectory(fingerprint, 0.0, num_nodes=4), _rows(3))
+        _rewrite_header(store, fingerprint, n=2)
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
-    def test_wrong_typed_metadata_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": "two", "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.trajectory_rounds(fingerprint, 0.0) is None
+    def test_rounds_past_the_file_are_never_served(self, store, fingerprint):
+        # The header claims more rounds than rows.bin holds: only the rows
+        # actually on disk are served (the torn-tail clamp), never past them.
+        store.save_trajectory(fingerprint, 0.0, _rows(3))
+        _rewrite_header(store, fingerprint, rounds=7)
+        assert np.array_equal(
+            store.load_trajectory(fingerprint, 0.0, num_nodes=4), _rows(3))
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds", "two"), ("rounds", 2.0), ("rounds", None), ("rounds", True),
+        ("n", "4"), ("n", 4.0), ("n", 0), ("n", -4), ("lam", "0.0"),
+        ("dtype", "<f4"), ("fingerprint", None)])
+    def test_wrong_typed_metadata_reads_as_miss(self, store, fingerprint,
+                                                field, value):
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        _rewrite_header(store, fingerprint, **{field: value})
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
+
+    def test_non_object_header_reads_as_miss(self, store, fingerprint):
+        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        (traj_dir(store.root, fingerprint, 0.0) / HEADER_NAME).write_text(
+            "[1, 2, 3]")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
 
 class TestResultArtifacts:
@@ -217,7 +337,7 @@ class TestManagement:
         self._populate(store, fingerprint)
         info = store.info()
         assert [row["fingerprint"] for row in info["graphs"]] == [fingerprint]
-        assert info["files"] == 3  # 2 trajectories + graph.json
+        assert info["files"] == 5  # 2 × (header.json + rows.bin) + graph.json
         assert info["bytes"] > 0
         assert info["graphs"][0]["kinds"] == ["graph", "trajectory"]
 
@@ -234,12 +354,12 @@ class TestManagement:
         self._populate(store, fingerprint)
         self._populate(store, other, lams=(0.0,))
         removed = store.purge(fingerprint)
-        assert removed == 3
+        assert removed == 5
         assert store.fingerprints() == (other,)
 
     def test_purge_everything(self, store, fingerprint):
         self._populate(store, fingerprint)
-        assert store.purge() == 3
+        assert store.purge() == 5
         assert store.fingerprints() == ()
         assert store.info()["files"] == 0
 
@@ -324,11 +444,11 @@ class TestLambdaCanonicalisation:
 
     def test_minus_zero_addresses_the_same_artifact(self, store, fingerprint):
         store.save_trajectory(fingerprint, -0.0, np.zeros((3, 4)))
-        assert store.load_trajectory(fingerprint, 0.0) is not None
-        assert store.load_trajectory(fingerprint, -0.0) is not None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is not None
+        assert store.load_trajectory(fingerprint, -0.0, num_nodes=4) is not None
         files = [p.name for p in store.graph_dir(fingerprint).iterdir()
                  if p.name.startswith("trajectory")]
-        assert files == ["trajectory-lam0.0.npz"]
+        assert files == ["trajectory-lam0.0.traj"]
         # ... and saving the positive spelling does not add a second file.
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
         assert len([p for p in store.graph_dir(fingerprint).iterdir()
@@ -355,17 +475,16 @@ class TestLambdaCanonicalisation:
         with pytest.raises(ValueError, match="finite"):
             store.save_trajectory(fingerprint, bad, np.zeros((3, 4)))
         with pytest.raises(ValueError, match="finite"):
-            store.load_trajectory(fingerprint, bad)
+            store.load_trajectory(fingerprint, bad, num_nodes=4)
         with pytest.raises(ValueError, match="finite"):
-            store.trajectory_rounds(fingerprint, bad)
+            store.trajectory_rounds(fingerprint, bad, num_nodes=4)
         assert not store.graph_dir(fingerprint).exists()  # nothing was minted
 
     def test_stored_metadata_carries_the_canonical_spelling(self, store,
                                                             fingerprint):
         path = store.save_trajectory(fingerprint, -0.0, np.zeros((3, 4)))
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        assert repr(meta["lam"]) == "0.0"
+        header = json.loads((path.parent / HEADER_NAME).read_text())
+        assert repr(header["lam"]) == "0.0"
 
 
 class TestInFlightVisibility:
@@ -379,24 +498,29 @@ class TestInFlightVisibility:
     tolerates files vanishing between ``iterdir`` and ``stat``.
     """
 
+    def _stall(self, store, fingerprint):
+        """Temp files of in-flight writes: a graph.json and a header publish."""
+        stalled = [store.graph_dir(fingerprint) / ".graph.json.tmp-999-1",
+                   traj_dir(store.root, fingerprint, 0.0)
+                   / f".{HEADER_NAME}.tmp-999-1"]
+        for path in stalled:
+            path.write_bytes(b"half-written")
+        return stalled
+
     def test_stalled_temp_files_are_invisible(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        stalled = (store.graph_dir(fingerprint)
-                   / ".trajectory-lam0.5.npz.tmp-999-1")
-        stalled.write_bytes(b"half-written")
+        stalled = self._stall(store, fingerprint)
         info = store.info(fingerprint)
-        assert info["files"] == 2  # graph.json + trajectory, not the temp
+        assert info["files"] == 3  # graph.json + header.json + rows.bin
         assert info["graphs"][0]["kinds"] == ["graph", "trajectory"]
-        assert store.evict(max_bytes=0) == 1  # the trajectory, never the temp
-        assert stalled.exists()
+        assert store.evict(max_bytes=0) == 1  # rows.bin, never a temp
+        assert all(path.exists() for path in stalled)
 
     def test_purge_leaves_in_flight_writes_alone(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        stalled = (store.graph_dir(fingerprint)
-                   / ".trajectory-lam0.5.npz.tmp-999-1")
-        stalled.write_bytes(b"half-written")
-        assert store.purge(fingerprint) == 2
-        assert stalled.exists()  # not ours to delete mid-replace
+        stalled = self._stall(store, fingerprint)
+        assert store.purge(fingerprint) == 3
+        assert all(path.exists() for path in stalled)  # not ours mid-replace
 
     def test_info_tolerates_files_vanishing_mid_scan(self, store, fingerprint,
                                                      monkeypatch):
@@ -407,7 +531,7 @@ class TestInFlightVisibility:
         real_stat = Path.stat
 
         def racing_stat(self, **kwargs):
-            if self.name == victim.name:
+            if self == victim:
                 # Deleted between iterdir and stat.
                 import errno
 
@@ -416,7 +540,8 @@ class TestInFlightVisibility:
 
         monkeypatch.setattr(Path, "stat", racing_stat)
         info = store.info(fingerprint)
-        assert info["files"] == 2  # graph.json + the surviving trajectory
+        # graph.json + the surviving trajectory + the victim's header.json
+        assert info["files"] == 4
         assert info["graphs"][0]["fingerprint"] == fingerprint
 
 
@@ -437,13 +562,60 @@ class TestCsrAccounting:
         assert "csr" in row["kinds"]
         assert row["csr_bytes"] > 0
         assert row["bytes"] >= row["csr_bytes"]
-        assert row["files"] == 7  # graph.json + trajectory + meta + 4 arrays
+        # graph.json + header.json + rows.bin + meta + 4 arrays
+        assert row["files"] == 8
 
     def test_purge_removes_the_csr_directory(self, store, spilled):
-        assert store.purge(spilled) == 7
+        assert store.purge(spilled) == 8
         assert not store.graph_dir(spilled).exists()
 
     def test_evict_to_zero_clears_csr_arrays_too(self, store, spilled):
         assert store.evict(max_bytes=0) >= 5
         assert store.fingerprints() == ()
         assert not store.csr_dir(spilled).exists()
+
+
+class TestLegacyNpzTrajectories:
+    """A store written before ``.traj`` became the only trajectory format.
+
+    Its ``trajectory-lam<λ>.npz`` files are never read: a restart misses,
+    recomputes bit-identically and writes the ``.traj`` artifact, while
+    ``info``/``purge`` still count and remove the leftover as a plain file.
+    """
+
+    def test_legacy_npz_restarts_as_a_miss_and_is_purged(self, store,
+                                                         two_communities):
+        from repro.session import Session
+
+        reference = Session(two_communities).coreness(rounds=6)
+        fp = csr_fingerprint(graph_to_csr(two_communities))
+        legacy = store.graph_dir(fp) / "trajectory-lam0.0.npz"
+        legacy.parent.mkdir(parents=True)
+        trajectory = np.asarray(reference.surviving.trajectory)
+        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
+                "fingerprint": fp, "lam": 0.0, "rounds": 6,
+                "n": int(trajectory.shape[1])}
+        with open(legacy, "wb") as handle:
+            np.savez(handle, trajectory=trajectory, meta=np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        n = int(trajectory.shape[1])
+        assert store.load_trajectory(fp, 0.0, num_nodes=n) is None
+        assert store.trajectory_rounds(fp, 0.0, num_nodes=n) is None
+        assert store.info(fp)["files"] == 1
+        assert store.info(fp)["graphs"][0]["kinds"] == ["trajectory"]
+
+        restarted = Session(two_communities, store=store)
+        served = restarted.coreness(rounds=6)
+        assert restarted.stats.disk_hits == 0
+        assert restarted.stats.disk_misses == 1
+        assert restarted.stats.cold_runs == 1
+        assert restarted.stats.disk_writes == 1
+        assert served.values == reference.values
+        assert np.array_equal(served.surviving.trajectory, trajectory)
+        assert np.array_equal(store.load_trajectory(fp, 0.0, num_nodes=n),
+                              trajectory)
+
+        # graph.json + the .traj header and rows + the legacy leftover.
+        assert store.purge(fp) == 4
+        assert not legacy.exists()
+        assert store.fingerprints() == ()

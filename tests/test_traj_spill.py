@@ -15,7 +15,7 @@ Contract under test (see :mod:`repro.store.traj` and the
 * the thread-parallel mode reuses one pool per engine (and ``close`` shuts it
   down) instead of paying pool startup on every call;
 * a store-backed :class:`~repro.session.Session` adopts, extends, accounts
-  for, and purges the ``.traj`` artifact in place of the monolithic ``.npz``.
+  for, and purges the ``.traj`` artifact its engine appended into.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class TestAppendFormat:
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             assert traj.ensure_prefix() == 0
             assert np.all(np.isposinf(traj.row(0)))
-        assert published_rounds(tmp_path, FP, 0.0) == 0
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) == 0
 
     def test_appended_rounds_round_trip_and_reopen_resumes(self, tmp_path):
         rows = _rows(3)
@@ -75,7 +75,7 @@ class TestAppendFormat:
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             assert traj.ensure_prefix() == 3
             assert np.array_equal(traj.as_array()[1:], rows)
-        mapped = open_trajectory(tmp_path, FP, 0.0)
+        mapped = open_trajectory(tmp_path, FP, 0.0, num_nodes=4)
         assert mapped.shape == (4, 4)
         assert np.array_equal(mapped[1:], rows)
 
@@ -87,8 +87,8 @@ class TestAppendFormat:
         path = rows_path(tmp_path, FP, 0.0)
         with open(path, "r+b") as handle:
             handle.truncate(2 * 4 * 8 + 5)
-        assert published_rounds(tmp_path, FP, 0.0) == 1
-        assert open_trajectory(tmp_path, FP, 0.0).shape == (2, 4)
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) == 1
+        assert open_trajectory(tmp_path, FP, 0.0, num_nodes=4).shape == (2, 4)
         # A writer resumes after the surviving prefix, not the torn claim.
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             assert traj.ensure_prefix() == 1
@@ -98,8 +98,8 @@ class TestAppendFormat:
             traj.ensure_prefix(_rows(3))
         header = traj_dir(tmp_path, FP, 0.0) / HEADER_NAME
         header.write_text(header.read_text().replace(FP, "cd" * 32))
-        assert published_rounds(tmp_path, FP, 0.0) is None
-        assert open_trajectory(tmp_path, FP, 0.0) is None
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) is None
+        assert open_trajectory(tmp_path, FP, 0.0, num_nodes=4) is None
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             assert traj.rounds == -1  # started over
             assert traj.ensure_prefix() == 0
@@ -108,13 +108,36 @@ class TestAppendFormat:
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             traj.ensure_prefix(_rows(2))
         (traj_dir(tmp_path, FP, 0.0) / HEADER_NAME).write_text("{not json")
-        assert published_rounds(tmp_path, FP, 0.0) is None
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) is None
 
     def test_node_count_mismatch_starts_over(self, tmp_path):
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
             traj.ensure_prefix(_rows(2))
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=5) as traj:
             assert traj.rounds == -1
+
+    def test_a_racing_first_writer_never_truncates_published_rows(
+            self, tmp_path, monkeypatch):
+        # Regression: the open probed ``rows.bin`` for existence and then
+        # opened it "w+b", so a second first writer whose probe ran before
+        # the first writer created the file truncated the rows the first had
+        # already published — under any reader's live memmap (SIGBUS).
+        from pathlib import Path
+
+        with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as first:
+            first.ensure_prefix(_rows(5))
+        live = open_trajectory(tmp_path, FP, 0.0, num_nodes=4)
+        path = rows_path(tmp_path, FP, 0.0)
+        size = path.stat().st_size
+        real_exists = Path.exists
+        monkeypatch.setattr(Path, "exists", lambda self, *args, **kwargs: (
+            self.name != ROWS_NAME and real_exists(self, *args, **kwargs)))
+        AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4).close()
+        monkeypatch.undo()
+        # Size first: touching a mapping of a truncated file would SIGBUS.
+        assert path.stat().st_size == size
+        assert np.array_equal(live, _rows(5))
+        assert np.array_equal(open_trajectory(tmp_path, FP, 0.0, num_nodes=4), _rows(5))
 
     def test_ensure_prefix_appends_only_the_missing_rows(self, tmp_path):
         rows = _rows(5)
@@ -157,13 +180,13 @@ class TestAppendFormat:
             traj.ensure_prefix(_rows(2))
         os.truncate(rows_path(tmp_path, FP, 0.0), 11 * 4 * 8)
         # A grown (zeroed) region is exactly a torn tail: clamped out.
-        assert published_rounds(tmp_path, FP, 0.0) == 1
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) == 1
 
     def test_minus_zero_lambda_addresses_the_same_artifact(self, tmp_path):
         assert traj_dir(tmp_path, FP, -0.0) == traj_dir(tmp_path, FP, 0.0)
         with AppendTrajectory.open(tmp_path, FP, -0.0, num_nodes=4) as traj:
             traj.ensure_prefix(_rows(2))
-        assert published_rounds(tmp_path, FP, 0.0) == 1
+        assert published_rounds(tmp_path, FP, 0.0, num_nodes=4) == 1
 
     def test_malformed_fingerprint_never_touches_the_filesystem(self, tmp_path):
         with pytest.raises(StoreError, match="fingerprint"):
@@ -236,7 +259,8 @@ class TestEngineEquivalence:
         # Tear the file mid-row: 3 intact rows plus a partial fourth.
         with open(rows_path(tmp_path, fingerprint, 0.0), "r+b") as handle:
             handle.truncate(3 * graph.num_nodes * 8 + 17)
-        assert published_rounds(tmp_path, fingerprint, 0.0) == 2
+        assert published_rounds(tmp_path, fingerprint, 0.0,
+                                num_nodes=graph.num_nodes) == 2
         fresh = VectorizedEngine(num_shards=4, trajectory_storage="mmap",
                                  storage_dir=tmp_path)
         result = fresh.run(graph, 8, track_kept=False)
@@ -309,35 +333,9 @@ class TestThreadPoolReuse:
 
 
 class TestStoreIntegration:
-    def test_load_trajectory_prefers_the_longer_artifact(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        npz_rows = _rows(4)
-        store.save_trajectory(FP, 0.0, npz_rows)
-        # No .traj yet: the .npz is served.
-        assert store.load_trajectory(FP, 0.0).shape == (4, 4)
-        # A longer .traj wins ...
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(6))
-        loaded = store.load_trajectory(FP, 0.0)
-        assert isinstance(loaded, np.memmap) and loaded.shape == (6, 4)
-        assert store.trajectory_rounds(FP, 0.0) == 5
-        # ... and a longer .npz wins back.
-        store.save_trajectory(FP, 0.0, _rows(9))
-        assert store.load_trajectory(FP, 0.0).shape == (9, 4)
-        assert store.trajectory_rounds(FP, 0.0) == 8
-
-    def test_ties_prefer_the_mapped_artifact(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.save_trajectory(FP, 0.0, _rows(4))
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(4))
-        assert isinstance(store.load_trajectory(FP, 0.0), np.memmap)
-
     def test_info_purge_and_evict_account_for_traj_files(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.record_graph(FP, 4)
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(3))
+        store.save_trajectory(FP, 0.0, _rows(3))
         row = store.info(FP)["graphs"][0]
         assert row["traj_bytes"] > 0
         assert "trajectory" in row["kinds"]
@@ -347,9 +345,7 @@ class TestStoreIntegration:
 
     def test_evict_to_zero_clears_traj_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.record_graph(FP, 4)
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(3))
+        store.save_trajectory(FP, 0.0, _rows(3))
         # Only the data file counts; header.json is descriptor cleanup.
         assert store.evict(max_bytes=0) == 1
         assert store.fingerprints() == ()
@@ -368,7 +364,8 @@ class TestSessionSpill:
         assert "trajectory-lam0.0.traj" in names
         assert not any(name.endswith(".npz") for name in names)
         assert session.stats.disk_writes == 1
-        assert store.trajectory_rounds(session.fingerprint, 0.0) == 6
+        assert store.trajectory_rounds(
+            session.fingerprint, 0.0, num_nodes=graph.num_nodes) == 6
         row = store.info(session.fingerprint)["graphs"][0]
         assert row["traj_bytes"] > 0 and "trajectory" in row["kinds"]
 
@@ -400,6 +397,37 @@ class TestSessionSpill:
         result = restarted.coreness(rounds=8)
         assert np.array_equal(result.surviving.trajectory,
                               reference.trajectory)
+
+    @pytest.mark.parametrize("spec", ["vectorized",
+                                      "sharded:shards=2,traj=mmap"])
+    def test_header_node_count_mismatch_recomputes_cold(self, tmp_path, spec):
+        # Regression: a header whose ``n`` disagrees with the graph was
+        # served as a (rounds+1, n) memmap, and the restart crashed with
+        # IndexError instead of reading it as a miss.
+        import json
+
+        graph = barabasi_albert(300, 3, seed=11)
+        store = ArtifactStore(tmp_path / "store")
+        cold = Session(graph, engine="sharded:shards=2,traj=mmap", store=store)
+        cold.coreness(rounds=6)
+        header_path = traj_dir(store.root, cold.fingerprint, 0.0) / HEADER_NAME
+        header = json.loads(header_path.read_text())
+        header["n"] = 100
+        header_path.write_text(json.dumps(header))
+
+        restarted = Session(graph, engine=spec, store=store)
+        result = restarted.coreness(rounds=6)
+        assert restarted.stats.disk_hits == 0
+        assert restarted.stats.disk_misses == 1
+        assert restarted.stats.cold_runs == 1
+        assert restarted.stats.disk_writes == 1
+        reference = get_engine("vectorized").run(graph, 6, track_kept=False)
+        assert np.array_equal(result.surviving.trajectory,
+                              reference.trajectory)
+        # The recompute healed the store.
+        healed = store.load_trajectory(cold.fingerprint, 0.0,
+                                       num_nodes=graph.num_nodes)
+        assert np.array_equal(healed, reference.trajectory)
 
     def test_purge_removes_the_spilled_session_artifacts(self, graph,
                                                          tmp_path):
