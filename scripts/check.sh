@@ -5,7 +5,8 @@
 # scripts/bench.py), the out-of-core mmap smoke (small graph forced through
 # storage=mmap, bit-identical to in-memory), the mmap-trajectory smoke
 # (trajectory spilled to the append-only .traj buffer, bit-identical and
-# prefix-resumable), the warm-session throughput
+# prefix-resumable), the delta smoke (a 3-edge delta re-solved on the dirty
+# frontier, bit-identical to a cold solve), the warm-session throughput
 # benchmark (>= 2x over cold per-call on repeated mixed requests), the
 # persistent-store smoke (second run served from disk, bit-identical),
 # the `repro cache` CLI smoke, the HTTP serve smoke (`repro serve` as a
@@ -14,7 +15,8 @@
 # files left in the store), the densest fast-path smoke (phases 2-4 on the
 # CSR kernels, bit-identical to the faithful 4-phase simulator pipeline),
 # and the observability smoke (a traced solve exported to Chrome trace
-# format plus a non-empty `repro trace summarize` per-span table).
+# format with the dirty-set size on every round span, plus a non-empty
+# `repro trace summarize` per-span table).
 #
 # Usage:  ./scripts/check.sh            (from anywhere; repo root is inferred)
 set -euo pipefail
@@ -102,6 +104,36 @@ print("traj smoke: trajectory_storage=mmap bit-identical and resumable "
 PY
 
 echo
+echo "== delta smoke (3-edge delta re-solved on the frontier, bit-identical to cold) =="
+python - <<'PY'
+import numpy as np
+
+from repro.graph import GraphDelta
+from repro.graph.generators.random_graphs import barabasi_albert
+from repro.session import Session
+
+graph = barabasi_albert(2000, 3, seed=21)
+pairs = [(u, v) for u, v in ((0, 1999), (7, 1500), (42, 1234), (3, 999),
+                             (11, 777), (100, 1900))
+         if not graph.has_edge(u, v)][:3]
+assert len(pairs) == 3
+parent = Session(graph)
+parent.coreness(rounds=12)
+child = parent.apply_delta(GraphDelta(add_edges=tuple((u, v, 1.0) for u, v in pairs)))
+incremental = child.coreness(rounds=12)
+cold = Session(child.graph).coreness(rounds=12)
+assert child.stats.incremental_runs == 1, "the delta fell back to a cold solve"
+assert incremental.values == cold.values, "delta values differ from cold"
+assert np.array_equal(incremental.surviving.trajectory,
+                      cold.surviving.trajectory), \
+    "delta trajectory is not bit-identical"
+print(f"delta smoke: 3-edge delta on n=2000 re-solved "
+      f"{child.stats.frontier_nodes_recomputed} node-rounds "
+      f"(peak frontier {child.stats.frontier_peak_nodes}), "
+      f"bit-identical to cold (12 rounds)")
+PY
+
+echo
 echo "== session throughput (warm Session vs cold per-call) =="
 python scripts/bench_session.py --nodes 10000 --requests 50 --require 2.0
 
@@ -162,6 +194,9 @@ doc = json.load(open(sys.argv[1]))
 names = {event["name"] for event in doc["traceEvents"]}
 missing = {"session.solve", "engine.run", "kernel.round_range"} - names
 assert not missing, f"chrome trace is missing hot-path spans: {missing}"
+rounds = [e for e in doc["traceEvents"] if e["name"] == "kernel.round_range"]
+assert all("dirty" in e["args"] for e in rounds), \
+    "kernel.round_range spans carry no dirty-set size"
 print(f"obs smoke: chrome trace carries {len(doc['traceEvents'])} spans")
 PY
 python -m repro trace summarize --input "$OBS_DIR/run.trace" \

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.ratios import RatioSummary, summarize_ratios
 from repro.core.rounds import guarantee_after_rounds
-from repro.core.surviving import surviving_numbers_vectorized
+from repro.engine.kernels import compact_trajectory
 from repro.errors import AlgorithmError
 from repro.graph.csr import graph_to_csr
 from repro.graph.graph import Graph
@@ -79,7 +79,7 @@ def _trajectory_and_labels(graph: Graph, rounds: int, session=None):
     # Fallback (no session, or one whose engine cannot serve trajectories):
     # still reuse the session's CSR view when there is one.
     csr = session.csr if session is not None else graph_to_csr(graph)
-    return surviving_numbers_vectorized(csr, rounds), csr.labels()
+    return compact_trajectory(csr, rounds), csr.labels()
 
 
 def convergence_trace(graph: Graph, exact: Mapping[Hashable, float], *,

@@ -51,7 +51,6 @@ from repro.core.surviving import (
     SurvivingOutput,
     compact_elimination,
     run_compact_elimination,
-    surviving_numbers_vectorized,
 )
 from repro.core.update import (
     UpdateResult,
@@ -106,7 +105,6 @@ __all__ = [
     "SurvivingOutput",
     "compact_elimination",
     "run_compact_elimination",
-    "surviving_numbers_vectorized",
     "UpdateResult",
     "update_counting",
     "update_naive",

@@ -195,7 +195,7 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
         CSR view of the graph (defines the integer node ids of ``trajectory``).
     trajectory:
         Array of shape ``(T+1, n)`` from
-        :func:`repro.core.surviving.surviving_numbers_vectorized`.
+        :func:`repro.engine.kernels.compact_trajectory`.
     tie_break:
         ``"history"`` (paper's rule), ``"stable"`` or ``"naive"``.
     """

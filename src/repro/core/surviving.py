@@ -37,7 +37,7 @@ from repro.core.update import UpdateResult, update_sorted, update_stable
 from repro.distsim.congest import MessageSizeModel
 from repro.distsim.stats import RunStats as SimRunStats
 from repro.engine.base import get_engine
-from repro.engine.kernels import compact_round, compact_trajectory
+from repro.engine.kernels import round_loop
 from repro.distsim.message import Message
 from repro.distsim.node import NodeContext, NodeProtocol, Outgoing
 from repro.distsim.runner import ProtocolRun, run_protocol
@@ -195,36 +195,6 @@ def run_compact_elimination(graph: Graph, rounds: int, *, lam: float = 0.0,
     return result, run
 
 
-def _vectorized_round(csr: CSRAdjacency, current: np.ndarray, rows: np.ndarray,
-                      counts: np.ndarray, grid: LambdaGrid) -> np.ndarray:
-    """One synchronous round of Algorithm 2 for every node at once.
-
-    Backwards-compatible wrapper over the shared kernel
-    :func:`repro.engine.kernels.compact_round_range`; ``rows`` and ``counts`` are
-    accepted (and ignored) for callers that precomputed them against the old
-    monolithic implementation.
-    """
-    return compact_round(csr, current, grid)
-
-
-def surviving_numbers_vectorized(csr: CSRAdjacency, rounds: int, *,
-                                 lam: float = 0.0) -> np.ndarray:
-    """Vectorised Algorithm 2: the full trajectory of surviving numbers.
-
-    Returns an array of shape ``(rounds + 1, n)``: row 0 is the initial ``+inf``
-    state, row ``t`` holds every node's surviving number after ``t`` rounds.  The
-    values are identical to the faithful protocol's (the Update value does not
-    depend on the tie-breaking rule); Λ-rounding is applied after every round when
-    ``lam > 0``.  Because the process is monotone, once a fixed point is reached the
-    remaining rows simply repeat it.
-
-    This is the single-range special case of
-    :func:`repro.engine.kernels.compact_trajectory` (which the vectorized
-    engine calls with its shard plan).
-    """
-    return compact_trajectory(csr, rounds, lam=lam)
-
-
 def iterate_to_fixed_point(csr: CSRAdjacency, *, lam: float = 0.0,
                            max_rounds: Optional[int] = None,
                            ) -> Tuple[np.ndarray, int]:
@@ -233,18 +203,17 @@ def iterate_to_fixed_point(csr: CSRAdjacency, *, lam: float = 0.0,
     Returns ``(values, rounds)`` where ``rounds`` is the number of rounds after
     which the fixed point was first reached.  This is the engine behind the
     Montresor et al. exact distributed k-core baseline: the fixed point of the
-    Update operator equals the exact coreness values.
+    Update operator equals the exact coreness values.  The rounds run through
+    the shared :func:`repro.engine.kernels.round_loop`, keeping only two rows.
     """
     n = csr.num_nodes
-    grid = LambdaGrid(lam=lam)
     cap = max_rounds if max_rounds is not None else max(1, n + 1)
-    current = np.full(n, np.inf, dtype=np.float64)
-    for t in range(1, cap + 1):
-        new = compact_round(csr, current, grid)
-        if np.array_equal(new, current):
-            return current, t - 1
-        current = new
-    return current, cap
+    stop, values = round_loop(
+        csr, cap, LambdaGrid(lam=lam), start=0,
+        current=np.full(n, np.inf, dtype=np.float64),
+        dirty=np.arange(n, dtype=np.int64), sink=lambda t, row: None,
+        plan=((0, n),))
+    return values, (cap if stop is None else stop - 1)
 
 
 def compact_elimination(graph: Graph, rounds: int, *, lam: float = 0.0,

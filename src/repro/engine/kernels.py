@@ -1,36 +1,37 @@
 """Per-round NumPy kernels shared by the vectorised execution engines.
 
-These are the innermost loops of the library, extracted from the original
-monolithic implementations in :mod:`repro.core.surviving` and
-:mod:`repro.core.elimination` so that every engine (see :mod:`repro.engine.base`)
-composes the *same* kernels instead of re-implementing them:
+These are the innermost loops of the library; every engine (see
+:mod:`repro.engine.base`) composes the *same* kernels:
 
-* :func:`compact_round_range` — one synchronous round of Algorithm 2 (the compact
-  elimination / surviving-number update) for a contiguous *row range* of a CSR
-  view;
-* :func:`threshold_round_range` — one synchronous round of Algorithm 1 (the
-  single-threshold elimination) for a row range;
-* :func:`compact_trajectory` — the round loop over an arbitrary shard plan,
-  producing the full ``(T+1, n)`` trajectory with monotone early-stopping —
-  either as a RAM array or, given an ``out=`` append-trajectory sink
-  (:mod:`repro.store.traj`), appended round-by-round to a mapped file with
-  only a two-row sliding window resident.
+* :func:`compact_round_range` — one synchronous round of Algorithm 2 (the
+  compact elimination / surviving-number update) for a *row range* of a CSR view;
+* :func:`round_loop` — the one Algorithm 2 round loop.  A node's update reads
+  only its neighbours' previous values, so round ``t`` recomputes only the
+  dirty rows (split by the shard plan into kernel calls) and copies the rest
+  from a baseline row; the next dirty set is a permanent seed plus the
+  neighbours of the rows that changed — the notify-on-change rule of
+  Montresor, De Pellegrini & Miorandi's distributed k-core protocol;
+* :func:`compact_trajectory` (cold and prefix-resumed solves, in RAM or
+  appended to a :mod:`repro.store.traj` file) and :func:`frontier_trajectory`
+  (delta solves against a parent trajectory) — the seeds of that loop;
+* :func:`threshold_round_range` — one round of Algorithm 1 for a row range.
 
-Every kernel takes an explicit ``[lo, hi)`` node range and only materialises the
-frontier arrays (gathered neighbour values, sort permutation, prefix sums) for
-that range, which is what bounds the peak memory of the array engine: with a
-shard plan of ``k`` ranges, at most one range's frontier arrays exist at a time
-(unless a concurrent executor is supplied, in which case each in-flight shard
-owns one set).
+Each kernel call materialises the frontier arrays (gathered neighbour values,
+sort permutation, prefix sums) for one chunk of rows only, so with a shard
+plan of ``k`` ranges at most one range's frontier arrays exist at a time
+(one per in-flight chunk under a concurrent executor).  A chunk of contiguous
+rows reads zero-copy slices of the CSR arrays; any other chunk a gathered
+sub-CSR.
 
-Numerical note: within a kernel invocation the per-row prefix sums are derived
-from a single cumulative sum over the range (exactly like the original
-implementation), so surviving numbers are bit-identical across *any* shard plan
-whenever the intermediate weight sums are exactly representable — in particular
-for integer and dyadic-rational edge weights, which is what the cross-engine
-equivalence suite pins down.  For arbitrary float weights, different shard plans
-may differ in the last ulp (and so may the faithful per-node protocol, which
-accumulates with Python floats); callers compare with tolerances there.
+Numerical note: within a kernel call the per-row prefix sums come from a
+single cumulative sum over the call's rows, so a row's value can depend on
+which rows share its call.  Surviving numbers are bit-identical across *any*
+shard plan, dirty set and resume point whenever the intermediate weight sums
+are exactly representable — in particular for integer and dyadic-rational
+edge weights, which is what the cross-engine equivalence suite pins down.
+For arbitrary float weights they may differ in the last ulp (and so may the
+faithful per-node protocol, which accumulates with Python floats); callers
+compare with tolerances there.
 """
 
 from __future__ import annotations
@@ -124,43 +125,139 @@ def compact_round_range(csr: CSRAdjacency, current: np.ndarray, lo: int, hi: int
     return round_values(grid, new)
 
 
-def compact_round(csr: CSRAdjacency, current: np.ndarray, grid: LambdaGrid) -> np.ndarray:
-    """One full round of Algorithm 2 over every node (single-range kernel call)."""
-    return compact_round_range(csr, current, 0, csr.num_nodes, grid)
+def _row_positions(indptr, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sub_indptr, positions)`` of the CSR entries of the rows ``ids``."""
+    starts = np.asarray(indptr)[ids]
+    counts = np.asarray(indptr)[ids + 1] - starts
+    sub_indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(counts, out=sub_indptr[1:])
+    positions = np.repeat(starts - sub_indptr[:-1], counts) \
+        + np.arange(int(sub_indptr[-1]), dtype=np.int64)
+    return sub_indptr, positions
 
 
-def init_trajectory(num_nodes: int, rounds: int,
-                    prefix: Optional[np.ndarray] = None,
-                    out=None) -> Tuple[object, int]:
-    """Allocate a ``(rounds + 1, n)`` trajectory, seeded from an optional prefix.
+def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
+    """A CSR view of just the rows ``ids``, indices still in full node space.
 
-    Returns ``(trajectory, start)``: row 0 is the initial ``+inf`` state, rows
-    ``1..start`` are copied verbatim from ``prefix`` (clamped to ``rounds``),
-    and the round loop should resume at ``start + 1``.
-
-    When ``out`` is an :class:`~repro.store.traj.AppendTrajectory`, no RAM
-    array is allocated: the first element of the return value is ``out``
-    itself, seeded so its on-disk rows hold the same ``start + 1`` rows the
-    in-memory path would, and ``start`` additionally resumes from rows
-    *already published on disk* (the file is its own warm start, so a prefix
-    shorter than the file — or none at all — still skips the completed
-    rounds).
+    Per-row adjacency order is preserved, so the lexsort tie resolution
+    inside :func:`compact_round_range` is identical to a full-range call —
+    the gathered rows run through the *same shared kernel* as every other
+    engine path.
     """
-    if rounds < 0:
-        raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
-    if prefix is not None and (
-            prefix.ndim != 2 or prefix.shape[1] != num_nodes or prefix.shape[0] < 1):
-        raise AlgorithmError(
-            f"trajectory prefix of shape {getattr(prefix, 'shape', None)} does not "
-            f"match a {num_nodes}-node CSR view")
-    if out is not None:
-        return out, min(out.ensure_prefix(prefix), rounds)
-    trajectory = np.full((rounds + 1, num_nodes), np.inf, dtype=np.float64)
-    start = 0
-    if prefix is not None:
-        start = min(prefix.shape[0] - 1, rounds)
-        trajectory[:start + 1] = prefix[:start + 1]
-    return trajectory, start
+    from types import SimpleNamespace
+
+    sub_indptr, positions = _row_positions(csr.indptr, ids)
+    return SimpleNamespace(indptr=sub_indptr,
+                           indices=np.asarray(csr.indices)[positions],
+                           weights=np.asarray(csr.weights)[positions],
+                           loops=np.asarray(csr.loops)[ids])
+
+
+def _run_of(ids: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` when the sorted ``ids`` are exactly ``lo..hi-1``, else None."""
+    lo, hi = int(ids[0]), int(ids[-1]) + 1
+    return (lo, hi) if hi - lo == ids.size else None
+
+
+def _rows_round(csr: CSRAdjacency, current: np.ndarray, ids: np.ndarray,
+                grid: LambdaGrid) -> np.ndarray:
+    """Algorithm 2 for the sorted rows ``ids``: zero-copy slices for a run."""
+    run = _run_of(ids)
+    if run is not None:
+        return compact_round_range(csr, current, run[0], run[1], grid)
+    return compact_round_range(_gathered_sub_csr(csr, ids), current,
+                               0, ids.size, grid)
+
+
+def _dirty_after(csr: CSRAdjacency, diff: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """``seed ∪ N(diff)`` as sorted ids, deduplicated with a boolean mask."""
+    mask = np.zeros(csr.num_nodes, dtype=bool)
+    run = _run_of(diff) if diff.size else None
+    if run is not None:  # a contiguous run: its neighbours are one slice
+        mask[csr.indices[int(csr.indptr[run[0]]):int(csr.indptr[run[1]])]] = True
+    elif diff.size:
+        mask[np.asarray(csr.indices)[_row_positions(csr.indptr, diff)[1]]] = True
+    mask[seed] = True
+    return np.flatnonzero(mask)
+
+
+def round_loop(csr: CSRAdjacency, rounds: int, grid: LambdaGrid, *,
+               start: int, current: np.ndarray, dirty: np.ndarray, sink,
+               plan: ShardPlan, shard_map: Optional[Callable] = None,
+               seed: Optional[np.ndarray] = None, baseline=None,
+               warm: Optional["FrontierWarmStart"] = None):
+    """The one Algorithm 2 round loop: an active set over the shard plan.
+
+    Round ``t`` recomputes the sorted rows ``dirty`` (split by ``plan``, the
+    chunks mapped through ``shard_map`` when given) and copies every other
+    row from ``B_t`` — ``baseline(t)`` when given, else the previous row.
+    ``diff_t`` holds the dirty rows whose value differs from ``B_t``, and
+    ``dirty_{t+1} = seed ∪ N(diff_t)``.  ``sink(t, row)`` receives each row.
+
+    Returns ``(stop, row)``: the round at which ``row`` repeated the previous
+    row (a fixed point; None when the budget ran out first) and the last
+    row.  With ``warm``, a dirty set wider than
+    ``warm.max_frontier_fraction·n`` records the fallback and returns None.
+    """
+    n = csr.num_nodes
+    bounds = tuple(plan)
+    seed = np.zeros(0, dtype=np.int64) if seed is None else seed
+    limit = int(warm.max_frontier_fraction * n) if warm is not None else n
+    # One tracer/context fetch per call; per-round work stays a None-check
+    # when tracing is disabled.  Shard spans recorded from pool threads pass
+    # the caller's context explicitly (thread-local stacks don't cross).
+    tracer = obs_trace.active()
+    parent = obs_trace.current_context() if tracer is not None else None
+    for t in range(start + 1, rounds + 1):
+        if dirty.size > limit:
+            warm._fallback(f"frontier of {dirty.size} nodes exceeds "
+                           f"{warm.max_frontier_fraction:g} of n={n} "
+                           f"at round {t}")
+            return None
+        if warm is not None:
+            warm.peak_frontier = max(warm.peak_frontier, int(dirty.size))
+            warm.nodes_recomputed += int(dirty.size)
+        round_unix = time.time() if tracer is not None else 0.0
+        round_perf = time.perf_counter()
+        base = current if baseline is None else baseline(t)
+        row = base.copy()
+        if dirty.size:
+            cuts = np.searchsorted(dirty, [hi for _, hi in bounds[:-1]])
+            chunks = [c for c in np.split(dirty, cuts) if c.size]
+            if shard_map is not None and len(chunks) > 1:
+                def run_chunk(ids, _cur=current, _t=t):
+                    if tracer is None:
+                        return _rows_round(csr, _cur, ids, grid)
+                    shard_unix = time.time()
+                    shard_perf = time.perf_counter()
+                    values = _rows_round(csr, _cur, ids, grid)
+                    tracer.record_span(
+                        "kernel.shard", start_unix=shard_unix,
+                        duration=time.perf_counter() - shard_perf,
+                        parent=parent,
+                        attrs={"lo": int(ids[0]), "hi": int(ids[-1]) + 1,
+                               "rows": int(ids.size), "round": _t})
+                    return values
+                results = shard_map(run_chunk, chunks)
+            else:
+                results = (_rows_round(csr, current, ids, grid) for ids in chunks)
+            for ids, values in zip(chunks, results):
+                row[ids] = values
+        diff = dirty[row[dirty] != base[dirty]]
+        round_seconds = time.perf_counter() - round_perf
+        KERNEL_ROUND_SECONDS.observe(round_seconds)
+        if tracer is not None:
+            tracer.record_span(
+                "kernel.round_range", start_unix=round_unix,
+                duration=round_seconds, parent=parent,
+                attrs={"round": t, "shards": len(bounds), "n": n,
+                       "dirty": int(dirty.size)})
+        sink(t, row)
+        if np.array_equal(row, current):
+            return t, row
+        dirty = _dirty_after(csr, diff, seed)
+        current = row
+    return None, current
 
 
 def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
@@ -173,93 +270,72 @@ def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
     Returns an array of shape ``(rounds + 1, n)``: row 0 is the initial ``+inf``
     state, row ``t`` holds every node's surviving number after ``t`` rounds.
     Because the process is monotone, once a fixed point is reached the remaining
-    rows simply repeat it.
+    rows simply repeat it.  The rounds run through :func:`round_loop`: a cold
+    solve starts with every node dirty, so after the first round only the
+    neighbours of nodes that changed are recomputed.
 
     Parameters
     ----------
     plan:
-        Contiguous node ranges executed one after another within each round
-        (default: a single range covering all nodes).  Synchronous-round semantics
-        are preserved because every shard reads the *previous* round's full
-        vector and writes only its own range.
+        Contiguous node ranges that split each round's dirty rows into kernel
+        calls (default: a single range covering all nodes).  Synchronous-round
+        semantics are preserved because every chunk reads the *previous*
+        round's full vector and writes only its own rows.
     shard_map:
         Optional parallel map (e.g. ``concurrent.futures.Executor.map``) applied
-        to the per-shard kernel calls of one round; ``None`` runs the shards
-        sequentially, which caps peak memory at one shard's frontier arrays.
+        to the per-chunk kernel calls of one round; ``None`` runs the chunks
+        sequentially, which caps peak memory at one chunk's frontier arrays.
     prefix:
         Optional previously computed trajectory of the *same* CSR view and λ (an
         output of this function).  Its rows are copied verbatim and the round
-        loop resumes after the last one, so a request with a larger budget pays
-        only for the missing rounds.  Each round is a deterministic function of
-        the previous row, hence the resumed trajectory is bit-identical to a
-        cold run (the cross-engine equivalence suite pins this).  A prefix
-        longer than ``rounds`` simply yields the sliced trajectory.
+        loop resumes after the last one, seeded with the neighbours of the
+        nodes its last round changed, so a request with a larger budget pays
+        only for the missing rounds.  A prefix longer than ``rounds`` simply
+        yields the sliced trajectory.
     out:
         Optional :class:`~repro.store.traj.AppendTrajectory`: completed rounds
         are appended (and published) to the mapped file instead of filling a
         RAM array, only a sliding window of two rows stays resident, and the
         return value is a read-only ``np.memmap`` over the published prefix —
         bit-identical rows, since each round runs the very same kernel calls
-        on the very same previous-row vector.
+        on the very same previous-row vector.  Rows already published on disk
+        are their own warm start: they resume exactly like a prefix, and a
+        longer ``prefix`` has its missing rows appended first.
     """
     n = csr.num_nodes
-    grid = LambdaGrid(lam=lam)
-    bounds = tuple(plan) if plan is not None else ((0, n),)
-    trajectory, start = init_trajectory(n, rounds, prefix, out=out)
-    current = out.row(start) if out is not None else trajectory[start].copy()
-    # One tracer/context fetch per call; per-round work stays a None-check
-    # when tracing is disabled.  Shard spans recorded from pool threads pass
-    # the caller's context explicitly (thread-local stacks don't cross).
-    tracer = obs_trace.active()
-    parent = obs_trace.current_context() if tracer is not None else None
-    for t in range(start + 1, rounds + 1):
-        round_unix = time.time() if tracer is not None else 0.0
-        round_perf = time.perf_counter()
-        if len(bounds) == 1:
-            lo, hi = bounds[0]
-            new = compact_round_range(csr, current, lo, hi, grid)
-        else:
-            new = np.empty(n, dtype=np.float64)
-            if shard_map is not None:
-                if tracer is None:
-                    run_shard = (lambda b, _cur=current:
-                                 compact_round_range(csr, _cur, b[0], b[1], grid))
-                else:
-                    def run_shard(b, _cur=current, _t=t):
-                        shard_unix = time.time()
-                        shard_perf = time.perf_counter()
-                        chunk = compact_round_range(csr, _cur, b[0], b[1], grid)
-                        tracer.record_span(
-                            "kernel.shard", start_unix=shard_unix,
-                            duration=time.perf_counter() - shard_perf,
-                            parent=parent,
-                            attrs={"lo": b[0], "hi": b[1], "round": _t})
-                        return chunk
-                chunks = shard_map(run_shard, bounds)
-                for (lo, hi), chunk in zip(bounds, chunks):
-                    new[lo:hi] = chunk
-            else:
-                for lo, hi in bounds:
-                    new[lo:hi] = compact_round_range(csr, current, lo, hi, grid)
-        round_seconds = time.perf_counter() - round_perf
-        KERNEL_ROUND_SECONDS.observe(round_seconds)
-        if tracer is not None:
-            tracer.record_span(
-                "kernel.round_range", start_unix=round_unix,
-                duration=round_seconds, parent=parent,
-                attrs={"round": t, "shards": len(bounds), "n": n})
-        if out is not None:
-            out.append_row(new)
-        else:
-            trajectory[t] = new
-        if np.array_equal(new, current):
-            if out is not None:
-                out.fill_to(rounds, new)
-            else:
-                trajectory[t:] = new
-            break
-        current = new
-    return out.as_array(rounds) if out is not None else trajectory
+    if rounds < 0:
+        raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
+    if prefix is not None and (
+            prefix.ndim != 2 or prefix.shape[1] != n or prefix.shape[0] < 1):
+        raise AlgorithmError(
+            f"trajectory prefix of shape {getattr(prefix, 'shape', None)} does not "
+            f"match a {n}-node CSR view")
+    if out is not None:
+        start = min(out.ensure_prefix(prefix), rounds)
+        row_of, sink = out.row, (lambda t, row: out.append_row(row))
+    else:
+        trajectory = np.full((rounds + 1, n), np.inf, dtype=np.float64)
+        start = 0 if prefix is None else min(prefix.shape[0] - 1, rounds)
+        if prefix is not None:
+            trajectory[:start + 1] = prefix[:start + 1]
+        row_of, sink = trajectory.__getitem__, trajectory.__setitem__
+    current = row_of(start)
+    if start == 0:
+        dirty = np.arange(n, dtype=np.int64)
+    else:  # resume: only the neighbours of the nodes the last round changed
+        dirty = _dirty_after(csr, np.flatnonzero(current != row_of(start - 1)),
+                             np.zeros(0, dtype=np.int64))
+    stop, row = round_loop(csr, rounds, LambdaGrid(lam=lam), start=start,
+                           current=current, dirty=dirty, sink=sink,
+                           plan=plan if plan is not None else ((0, n),),
+                           shard_map=shard_map)
+    if out is not None:
+        if stop is not None:
+            out.fill_to(rounds, row)
+        return out.as_array(rounds)
+    if stop is not None:
+        trajectory[stop:] = row
+    return trajectory
 
 
 class FrontierWarmStart:
@@ -310,59 +386,25 @@ class FrontierWarmStart:
         self.fallback_reason = reason
 
 
-def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
-    """A CSR view of just the rows ``ids``, indices still in full node space.
-
-    Per-row adjacency order is preserved, so the lexsort tie resolution
-    inside :func:`compact_round_range` is identical to a full-range call —
-    the gathered rows run through the *same shared kernel* as every other
-    engine path.
-    """
-    from types import SimpleNamespace
-
-    starts = np.asarray(csr.indptr)[ids]
-    counts = np.asarray(csr.indptr)[ids + 1] - starts
-    sub_indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=sub_indptr[1:])
-    positions = np.repeat(starts - sub_indptr[:-1], counts) \
-        + np.arange(int(sub_indptr[-1]), dtype=np.int64)
-    return SimpleNamespace(indptr=sub_indptr,
-                           indices=np.asarray(csr.indices)[positions],
-                           weights=np.asarray(csr.weights)[positions],
-                           loops=np.asarray(csr.loops)[ids])
-
-
 def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
                         warm: FrontierWarmStart) -> Optional[np.ndarray]:
     """Incremental Algorithm 2 trajectory of a delta-derived graph.
 
-    Exploits the locality of the compact elimination rule: a node's round-``t``
-    value depends only on its *neighbours'* round-``t-1`` values (and its own
-    static loops/weights), never on its own previous value.  So a node whose
-    adjacency is unchanged and whose neighbours all carry parent-identical
-    values can copy the parent's row entry verbatim.  Per round the dirty set
-
-        ``dirty_t = changed ∪ N(diff_{t-1})``
-
-    is recomputed through :func:`compact_round_range` on a gathered sub-CSR
-    (full-space indices, per-row order preserved), where ``diff_{t-1}`` is the
-    set of nodes whose recomputed round-``t-1`` value actually differs from
-    the parent's; everything else is copied from ``warm.parent_trajectory``.
+    The seeds of :func:`round_loop` for a delta: ``warm.changed`` is both the
+    first round's dirty set and the permanent seed, and the baseline row of
+    round ``t`` is the parent's row ``min(t, P)`` mapped through
+    ``warm.parent_ids`` (the fixed-point row once the parent converged —
+    f(x) = x, so the copy stays exact).  Nodes the delta introduced have no
+    parent row; they are always dirty.
 
     Returns the full ``(rounds + 1, n)`` trajectory, or ``None`` when the
     incremental path cannot (parent trajectory too short and not converged)
     or should not (frontier exceeded ``max_frontier_fraction·n``) run — the
     caller then falls back to a cold solve.  ``warm`` records the outcome.
-
-    Bit-identity caveat: like the shard-plan invariance of
-    :func:`compact_round_range`, copied-vs-recomputed equality is exact for
-    integer/dyadic-rational weights (the domain the equivalence suite pins);
-    arbitrary float weights carry the usual last-ulp caveat.
     """
     if rounds < 0:
         raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
     n = csr.num_nodes
-    grid = LambdaGrid(lam=lam)
     ptraj = warm.parent_trajectory
     parent_ids = warm.parent_ids
     if parent_ids.shape != (n,):
@@ -376,61 +418,27 @@ def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
         warm._fallback(f"parent trajectory covers {P} < {rounds} rounds "
                        f"and has not converged")
         return None
-    limit = int(warm.max_frontier_fraction * n)
     changed = warm.changed
     if changed.size and (changed[0] < 0 or changed[-1] >= n):
         raise AlgorithmError("changed ids out of range")
     has_parent = parent_ids >= 0
     gather_ids = parent_ids[has_parent]
 
-    tracer = obs_trace.active()
-    parent_ctx = obs_trace.current_context() if tracer is not None else None
-    trajectory = np.full((rounds + 1, n), np.inf, dtype=np.float64)
-    dirty = changed
-    current = trajectory[0]
-    for t in range(1, rounds + 1):
-        if dirty.size > limit:
-            warm._fallback(f"frontier of {dirty.size} nodes exceeds "
-                           f"{warm.max_frontier_fraction:g} of n={n} "
-                           f"at round {t}")
-            return None
-        warm.peak_frontier = max(warm.peak_frontier, int(dirty.size))
-        round_unix = time.time() if tracer is not None else 0.0
-        round_perf = time.perf_counter()
-        row = trajectory[t]
-        # Untouched nodes: the parent's row verbatim (the fixed-point row
-        # once the parent converged — f(x) = x, so the copy stays exact).
+    def parent_row(t: int) -> np.ndarray:
+        row = np.full(n, np.inf, dtype=np.float64)
         row[has_parent] = ptraj[min(t, P)][gather_ids]
-        if dirty.size:
-            new_vals = compact_round_range(_gathered_sub_csr(csr, dirty),
-                                           current, 0, len(dirty), grid)
-            diff_mask = new_vals != row[dirty]
-            row[dirty] = new_vals
-            warm.nodes_recomputed += int(dirty.size)
-        else:
-            diff_mask = np.zeros(0, dtype=bool)
-        round_seconds = time.perf_counter() - round_perf
-        KERNEL_ROUND_SECONDS.observe(round_seconds)
-        if tracer is not None:
-            tracer.record_span(
-                "kernel.frontier_round", start_unix=round_unix,
-                duration=round_seconds, parent=parent_ctx,
-                attrs={"round": t, "dirty": int(dirty.size), "n": n})
-        if np.array_equal(row, current):
-            trajectory[t:] = row  # child fixed point: remaining rows repeat
-            break
-        if diff_mask.any():
-            diff_ids = dirty[diff_mask]
-            starts = np.asarray(csr.indptr)[diff_ids]
-            counts = np.asarray(csr.indptr)[diff_ids + 1] - starts
-            positions = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                counts) + np.arange(int(counts.sum()), dtype=np.int64)
-            neighbours = np.asarray(csr.indices)[positions]
-            dirty = np.unique(np.concatenate((changed, neighbours)))
-        else:
-            dirty = changed
-        current = row
+        return row
+
+    trajectory = np.full((rounds + 1, n), np.inf, dtype=np.float64)
+    ran = round_loop(csr, rounds, LambdaGrid(lam=lam), start=0,
+                     current=trajectory[0], dirty=changed,
+                     sink=trajectory.__setitem__, plan=((0, n),),
+                     seed=changed, baseline=parent_row, warm=warm)
+    if ran is None:
+        return None
+    stop, row = ran
+    if stop is not None:
+        trajectory[stop:] = row  # child fixed point: remaining rows repeat
     warm.used = True
     return trajectory
 

@@ -1,15 +1,15 @@
 """The array engine — Algorithm 2's per-round NumPy kernels over a CSR view.
 
 One engine class, :class:`VectorizedEngine`, serves the ``vectorized``,
-``numpy`` and ``sharded`` specs.  The CSR arrays are partitioned into
-contiguous node-range shards; each synchronous round executes the
-compact-elimination kernel shard-by-shard, every shard reading the previous
-round's full surviving-number vector and writing only its own range.
-Synchronous-round semantics are therefore exact, while peak memory for the
-frontier arrays (gathered neighbour values, sort permutation, prefix sums —
-the ``O(m)`` part) is bounded by the largest shard.  The default plan sizes
-shards to about :data:`DEFAULT_SHARD_NODES` nodes, so a small graph runs as
-one whole-graph kernel call per round.
+``numpy`` and ``sharded`` specs.  Cold, prefix-resumed and delta solves all
+run the one active-set round loop of :mod:`repro.engine.kernels`, which
+recomputes only the nodes whose neighbours changed in the round before.  The
+engine's shard plan splits those dirty nodes into node-range chunks; every
+chunk reads the previous round's full vector and writes only its own rows, so
+synchronous-round semantics are exact while peak memory for the frontier
+arrays (the ``O(m)`` part) is bounded by the largest shard.  The default plan
+sizes shards to about :data:`DEFAULT_SHARD_NODES` nodes, so a small graph runs
+as one whole-graph kernel call per round (as does a delta's frontier).
 
 ``parallel`` selects how the shards of a round execute:
 
@@ -52,7 +52,9 @@ lives during the run:
 All modes produce bit-identical trajectories: the kernels run the same float64
 operations in the same order whether their operands are in RAM or a mapped
 file (the cross-engine equivalence suite pins this down to the float64
-representation).
+representation).  Across shard plans, resume points and deltas they are
+bit-identical for integer and dyadic weights; arbitrary float weights may
+differ in the last ulp (see the numerical note in :mod:`repro.engine.kernels`).
 
 Also home of :class:`TrajectoryEngine`, the base class for engines that
 compute the full per-round trajectory on a CSR view.

@@ -110,6 +110,10 @@ from repro.store import ArtifactStore
 #: (longer waits re-poll; an unbounded wait would stall graceful drain).
 MAX_WAIT_SECONDS = 30.0
 
+#: Largest request body a handler reads (64 MiB); a longer announced
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: BatchJob fields a wire submission may set (everything else is 400).
 _JOB_FIELDS = ("problem", "name", "epsilon", "gamma", "rounds", "lam",
                "tie_break", "track_kept")
@@ -132,6 +136,13 @@ _STATUS_BY_ERROR = {
 from repro.errors import QueueFullError  # noqa: E402  (table completeness)
 
 _STATUS_BY_ERROR[QueueFullError] = 429
+
+
+class _BodyTooLarge(WireFormatError):
+    """A body beyond :data:`MAX_BODY_BYTES`: 413, wire code ``bad-request``."""
+
+
+_STATUS_BY_ERROR[_BodyTooLarge] = 413
 
 
 def _status_for(exc: ReproError) -> int:
@@ -818,16 +829,26 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Tuple[Tuple[str, str], ...] = ()
         if isinstance(exc, QuotaExceededError):
             headers = (("Retry-After", f"{max(0.0, exc.retry_after):.3f}"),)
+        elif isinstance(exc, _BodyTooLarge):
+            # The unread body would be parsed as the next request.
+            headers = (("Connection", "close"),)
         self._send_json(_status_for(exc), {"error": exc.to_dict()}, headers)
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
+        """The request body, refused unread beyond :data:`MAX_BODY_BYTES`."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             raise WireFormatError("bad Content-Length header")
-        if length <= 0:
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit")
+        return self.rfile.read(max(0, length))
+
+    def _read_json(self) -> dict:
+        raw = self._read_body()
+        if not raw:
             raise WireFormatError("request needs a JSON body")
-        raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -927,12 +948,7 @@ class _Handler(BaseHTTPRequestHandler):
             content_type = (self.headers.get("Content-Type") or
                             "application/json").split(";")[0].strip()
             if content_type == "text/plain":
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                except ValueError:
-                    raise WireFormatError("bad Content-Length header")
-                text = self.rfile.read(max(0, length)).decode("utf-8",
-                                                              errors="replace")
+                text = self._read_body().decode("utf-8", errors="replace")
                 graph, source = parse_edge_list(text), "edge-list"
             else:
                 payload = self._read_json()

@@ -68,8 +68,10 @@ from repro.utils.numeric import canonical_lam
 #: Suffix of the per-(graph, λ) trajectory directory.
 TRAJ_SUFFIX = ".traj"
 
-#: Schema stamp embedded in (and required of) every ``header.json``.
-TRAJ_SCHEMA_VERSION = "repro-traj/1"
+#: Schema stamp embedded in (and required of) every ``header.json``.  Version 1
+#: rows came from dense rounds, whose float-weight last ulp may differ from the
+#: active-set loop's: they read as absent, never resumed with mixed rows.
+TRAJ_SCHEMA_VERSION = "repro-traj/2"
 
 #: The two files inside a ``.traj`` directory.
 HEADER_NAME = "header.json"
@@ -324,7 +326,7 @@ class AppendTrajectory:
         rows already *are* the resume point.  A longer prefix has its missing
         rows appended verbatim (bit-identical by round determinism).  The
         return value is the published round count the round loop resumes
-        after, i.e. the ``start`` of :func:`repro.engine.kernels.init_trajectory`.
+        after (see :func:`repro.engine.kernels.compact_trajectory`).
         """
         if prefix is not None and prefix.shape[1:] != (self.num_nodes,):
             raise StoreError(f"prefix of shape {prefix.shape} does not fit an "

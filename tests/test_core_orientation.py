@@ -14,7 +14,8 @@ from repro.core.orientation import (
     orientation_from_kept,
     orientation_from_values_greedy,
 )
-from repro.core.surviving import compact_elimination, run_compact_elimination, surviving_numbers_vectorized
+from repro.core.surviving import compact_elimination, run_compact_elimination
+from repro.engine.kernels import compact_trajectory
 from repro.errors import AlgorithmError
 from repro.graph.csr import graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
@@ -105,7 +106,7 @@ class TestKeptFromTrajectory:
         rounds = 4
         sim, _ = run_compact_elimination(ba_weighted, rounds, track_kept=True)
         csr = graph_to_csr(ba_weighted)
-        traj = surviving_numbers_vectorized(csr, rounds)
+        traj = compact_trajectory(csr, rounds)
         replayed = kept_sets_from_trajectory(csr, traj, tie_break="history")
         assert replayed == sim.kept
 
@@ -114,7 +115,7 @@ class TestKeptFromTrajectory:
         sim, _ = run_compact_elimination(two_communities, rounds, tie_break="stable",
                                          track_kept=True)
         csr = graph_to_csr(two_communities)
-        traj = surviving_numbers_vectorized(csr, rounds)
+        traj = compact_trajectory(csr, rounds)
         replayed = kept_sets_from_trajectory(csr, traj, tie_break="stable")
         assert replayed == sim.kept
 

@@ -13,8 +13,8 @@ from repro.core.surviving import (
     compact_elimination,
     iterate_to_fixed_point,
     run_compact_elimination,
-    surviving_numbers_vectorized,
 )
+from repro.engine.kernels import compact_trajectory
 from repro.errors import AlgorithmError
 from repro.graph.csr import graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
@@ -106,39 +106,39 @@ class TestEngineEquivalence:
 class TestTrajectoryProperties:
     def test_trajectory_shape_and_initial_row(self, cycle8):
         csr = graph_to_csr(cycle8)
-        traj = surviving_numbers_vectorized(csr, 5)
+        traj = compact_trajectory(csr, 5)
         assert traj.shape == (6, 8)
         assert np.all(np.isinf(traj[0]))
 
     def test_trajectory_monotone_non_increasing(self, ba_graph):
         csr = graph_to_csr(ba_graph)
-        traj = surviving_numbers_vectorized(csr, 8)
+        traj = compact_trajectory(csr, 8)
         assert np.all(traj[1:] <= traj[:-1] + 1e-12)
 
     def test_trajectory_lower_bounded_by_coreness(self, ba_graph):
         """Lemma III.2: surviving numbers never drop below the coreness."""
         csr = graph_to_csr(ba_graph)
-        traj = surviving_numbers_vectorized(csr, 10)
+        traj = compact_trajectory(csr, 10)
         exact = coreness(ba_graph)
         labels = csr.labels()
         for i, label in enumerate(labels):
             assert traj[10, i] >= exact[label] - 1e-9
 
     def test_zero_rounds_allowed(self, k6):
-        traj = surviving_numbers_vectorized(graph_to_csr(k6), 0)
+        traj = compact_trajectory(graph_to_csr(k6), 0)
         assert traj.shape == (1, 6)
 
     def test_lambda_rounding_never_increases_values(self, ba_weighted):
         csr = graph_to_csr(ba_weighted)
-        exact_traj = surviving_numbers_vectorized(csr, 5, lam=0.0)
-        rounded_traj = surviving_numbers_vectorized(csr, 5, lam=0.5)
+        exact_traj = compact_trajectory(csr, 5, lam=0.0)
+        rounded_traj = compact_trajectory(csr, 5, lam=0.5)
         assert np.all(rounded_traj[5] <= exact_traj[5] + 1e-12)
 
     def test_lambda_rounding_respects_corollary_iii10(self, ba_weighted):
         """b_v >= c(v)/(1+λ) under Λ-rounding (Corollary III.10, lower side)."""
         lam = 0.5
         csr = graph_to_csr(ba_weighted)
-        traj = surviving_numbers_vectorized(csr, 12, lam=lam)
+        traj = compact_trajectory(csr, 12, lam=lam)
         exact = coreness(ba_weighted)
         labels = csr.labels()
         for i, label in enumerate(labels):

@@ -8,7 +8,10 @@ any shard plan, sequential or threaded, in RAM or memory-mapped) — computes
 The graph corpus below has ~50 seeded cases covering self-loops, integer and
 dyadic edge weights, disconnected pieces, isolated nodes, stars/cycles/paths,
 dense cliques and random graphs; the cross-engine test adds one graph larger
-than a default shard, so the default plan itself runs several shards.  All weights are integers or dyadic rationals,
+than a default shard, so the default plan itself runs several shards.  Every
+array path (cold, prefix-resumed, sharded, threaded, appended to a ``.traj``
+file) is also checked against :func:`dense_reference`, a test-local loop that
+recomputes every row in every round with no active set.  All weights are integers or dyadic rationals,
 so every intermediate weight sum is exactly representable in float64 and the
 equality assertions are *bit-identical*, not approximate (see the numerical
 note in :mod:`repro.engine.kernels`).
@@ -20,10 +23,13 @@ import numpy as np
 import pytest
 
 from repro.core.orientation import orientation_from_kept
+from repro.core.rounding import LambdaGrid
 from repro.core.surviving import run_compact_elimination
 from repro.engine import get_engine
+from repro.engine.kernels import compact_round_range
 from repro.engine.vectorized import DEFAULT_SHARD_NODES, VectorizedEngine
 from repro.errors import SimulationError
+from repro.graph.csr import graph_to_csr
 from repro.graph.generators.community import core_periphery, planted_partition
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
 from repro.graph.generators.structured import (
@@ -35,6 +41,16 @@ from repro.graph.generators.structured import (
 )
 from repro.graph.generators.weights import with_uniform_integer_weights
 from repro.graph.graph import Graph
+
+
+def dense_reference(csr, rounds: int, lam: float = 0.0) -> np.ndarray:
+    """Algorithm 2 the slow way: every row, every round, one ``[0, n)`` call."""
+    grid = LambdaGrid(lam=lam)
+    trajectory = np.full((rounds + 1, csr.num_nodes), np.inf)
+    for t in range(1, rounds + 1):
+        trajectory[t] = compact_round_range(csr, trajectory[t - 1], 0,
+                                            csr.num_nodes, grid)
+    return trajectory
 
 
 def _with_dyadic_weights(graph: Graph, seed: int) -> Graph:
@@ -169,6 +185,8 @@ class TestCrossEngineEquivalence:
     def test_values_kept_and_orientation_identical(self, graph, rounds):
         vec = get_engine("vectorized").run(graph, rounds, track_kept=True)
         reference_orientation = orientation_from_kept(graph, vec.kept, values=vec.values)
+        assert np.array_equal(vec.trajectory,
+                              dense_reference(graph_to_csr(graph), rounds))
 
         # several shard counts (1, small, >= n) and threaded/mapped variants:
         # bit-identical trajectory, values, kept sets and orientation.
@@ -187,6 +205,34 @@ class TestCrossEngineEquivalence:
         assert faithful.kept == vec.kept
         orientation = orientation_from_kept(graph, faithful.kept, values=faithful.values)
         assert orientation.assignment == reference_orientation.assignment
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25])
+    @pytest.mark.parametrize("graph, rounds", CORPUS + [MULTI_SHARD])
+    def test_active_set_matches_dense_reference(self, graph, rounds, lam,
+                                                tmp_path):
+        """Cold, threaded and every-prefix resumes (in RAM and through an
+        appended ``.traj`` file) equal the dense every-row loop."""
+        csr = graph_to_csr(graph)
+        reference = dense_reference(csr, rounds, lam)
+        threaded = get_engine("sharded:shards=4,workers=2,parallel=thread")
+        for engine in (get_engine("vectorized"), threaded):
+            cold = engine.run(graph, rounds, lam=lam, track_kept=False)
+            assert np.array_equal(cold.trajectory, reference)
+        for s in range(rounds + 1):
+            prefix = reference[:s + 1]
+            for engine in (VectorizedEngine(), VectorizedEngine(num_shards=3),
+                           threaded):
+                assert np.array_equal(
+                    engine.trajectory(csr, rounds, lam=lam, prefix=prefix),
+                    reference), s
+            if csr.num_nodes:
+                spilled = VectorizedEngine(num_shards=3,
+                                           trajectory_storage="mmap",
+                                           storage_dir=tmp_path / f"s{s}")
+                assert np.array_equal(
+                    spilled.trajectory(csr, rounds, lam=lam, prefix=prefix),
+                    reference), s
+        threaded.close()
 
     @pytest.mark.parametrize("graph, rounds", CORPUS[::5] + [MULTI_SHARD])
     def test_per_round_values_match_faithful(self, graph, rounds):

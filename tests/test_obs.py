@@ -130,6 +130,28 @@ class TestSpanIntegrity:
                                       "session.surviving", "session.solve")
             assert {"lo", "hi", "round"} <= set(shard["attrs"])
 
+    def test_round_spans_carry_the_dirty_set(self):
+        from repro.graph import GraphDelta
+
+        tracer = obs_trace.enable()
+        session = Session(load_dataset("caveman"))
+        session.coreness(rounds=6)
+        n = session.csr.num_nodes
+        cold = [r for r in tracer.spans() if r["name"] == "kernel.round_range"]
+        assert cold and all("dirty" in r["attrs"] for r in cold)
+        first = next(r for r in cold if r["attrs"]["round"] == 1)
+        assert first["attrs"]["dirty"] == n
+
+        tracer.clear()
+        child = session.apply_delta(GraphDelta(add_edges=((0, 12, 1.0),)),
+                                    max_frontier_fraction=1.0)
+        child.coreness(rounds=6)
+        assert child.stats.incremental_runs == 1
+        names = {r["name"] for r in tracer.spans()}
+        assert "kernel.frontier_round" not in names
+        delta = [r for r in tracer.spans() if r["name"] == "kernel.round_range"]
+        assert delta and all(r["attrs"]["dirty"] < n for r in delta)
+
     def test_ring_is_bounded_but_counts_everything(self):
         tracer = obs_trace.enable(ring_size=8)
         for i in range(20):

@@ -117,6 +117,34 @@ class TestGraphResources:
         with pytest.raises(UnknownResourceError):
             client._request("GET", "/nope")
 
+    @pytest.mark.parametrize("method, path, content_type", [
+        ("PUT", "/graphs", "application/json"),
+        ("PUT", "/graphs", "text/plain"),
+        ("POST", "/graphs/" + "f" * 64 + "/jobs", "application/json"),
+    ])
+    def test_oversized_body_is_refused_unread(self, server, client, method,
+                                              path, content_type):
+        import socket
+
+        # A 2 GiB announcement followed by 4 bytes: the server must answer
+        # from the header alone instead of waiting to buffer the body.
+        with socket.create_connection((server.host, server.port),
+                                      timeout=2) as sock:
+            sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                         f"Content-Type: {content_type}\r\n"
+                         f"Content-Length: 2147483648\r\n\r\n".encode("ascii")
+                         + b'{"a"')
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head = reply.split(b"\r\n\r\n", 1)[0].lower()
+        assert head.startswith(b"http/1.1 413")
+        assert b"connection: close" in head
+        assert client.health()["status"] == "ok"  # the server still serves
+
 
 class TestJobLifecycle:
     def test_submit_poll_result(self, client):

@@ -5,7 +5,8 @@ Acceptance contract of the session redesign: for every registered engine,
 return bit-identical values / kept sets / orientations to the one-shot free
 functions on the seeded equivalence corpus (reusing the graph suite of
 :mod:`test_engine_equivalence`; all weights are integers or dyadic rationals,
-so equality is exact, not approximate).
+so equality is exact, not approximate).  Trajectories, delta re-solves
+included, are also checked against that module's dense every-row reference.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from test_engine_equivalence import CORPUS
+from test_engine_equivalence import CORPUS, dense_reference
 
 from repro.core.api import approximate_coreness, approximate_orientation
 from repro.session import Session
@@ -64,6 +65,8 @@ class TestSessionMatchesFreeFunctions:
         if resumed.surviving.trajectory is not None:
             assert np.array_equal(resumed.surviving.trajectory,
                                   free.surviving.trajectory)
+            assert np.array_equal(resumed.surviving.trajectory,
+                                  dense_reference(resumed_session.csr, rounds))
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE)
@@ -282,9 +285,10 @@ class TestDeltaEquivalence:
     path, the fallback path, and across a store restart along the lineage
     chain."""
 
+    @pytest.mark.parametrize("lam", [0.0, 0.25])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE[::2])
-    def test_incremental_matches_cold_solve(self, graph, rounds, engine):
+    def test_incremental_matches_cold_solve(self, graph, rounds, engine, lam):
         from repro.graph import apply_delta
         _skip_if_faithful_cannot_run(engine, graph)
         if graph.num_nodes < 4 or graph.num_edges < 2:
@@ -292,16 +296,18 @@ class TestDeltaEquivalence:
         delta = _mutation_for(graph)
         mutated = apply_delta(graph, delta)
 
-        parent = Session(graph, engine=engine)
+        parent = Session(graph, engine=engine, lam=lam)
         parent.coreness(rounds=rounds)
         child = parent.apply_delta(delta, max_frontier_fraction=1.0)
         incremental = child.coreness(rounds=rounds)
 
-        cold = Session(mutated, engine=engine).coreness(rounds=rounds)
+        cold = Session(mutated, engine=engine, lam=lam).coreness(rounds=rounds)
         assert incremental.values == cold.values
         if incremental.surviving.trajectory is not None:
             assert np.array_equal(incremental.surviving.trajectory,
                                   cold.surviving.trajectory)
+            assert np.array_equal(incremental.surviving.trajectory,
+                                  dense_reference(child.csr, rounds, lam))
         if engine != "faithful":
             assert child.stats.incremental_runs == 1
             assert child.stats.frontier_nodes_recomputed > 0
@@ -323,6 +329,8 @@ class TestDeltaEquivalence:
         cold = Session(apply_delta(two_communities, delta),
                        engine=engine).coreness(rounds=6)
         assert fell_back.values == cold.values
+        assert np.array_equal(fell_back.surviving.trajectory,
+                              dense_reference(child.csr, 6))
 
     def test_orientation_through_delta_matches_cold(self, two_communities):
         from repro.graph import apply_delta
@@ -389,6 +397,8 @@ class TestDeltaEquivalence:
 
         cold = Session(twice).coreness(rounds=8)
         assert incremental.values == cold.values
+        assert np.array_equal(incremental.surviving.trajectory,
+                              dense_reference(grandchild.csr, 8))
         assert grandchild.stats.incremental_runs == 1
         # Chain fingerprints compose: the grandchild's address hashes the
         # child's chain address, not its content address.

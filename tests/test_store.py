@@ -250,6 +250,14 @@ class TestCorruptionTolerance:
         assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
         assert store.trajectory_rounds(fingerprint, 0.0, num_nodes=4) is None
 
+    def test_dense_loop_rows_read_as_miss(self, store, fingerprint):
+        # Version-1 rows came from the dense round loop; with float weights
+        # their last ulp may differ from the active-set loop's, so they are
+        # recomputed, never resumed from.
+        store.save_trajectory(fingerprint, 0.0, _rows(3))
+        _rewrite_header(store, fingerprint, schema="repro-traj/1")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+
     def test_node_count_mismatch_reads_as_miss(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, _rows(3))
         assert store.load_trajectory(fingerprint, 0.0, num_nodes=5) is None
