@@ -16,12 +16,12 @@ These are the innermost loops of the library; every engine (see
   (delta solves against a parent trajectory) — the seeds of that loop;
 * :func:`threshold_round_range` — one round of Algorithm 1 for a row range.
 
-Each kernel call materialises the frontier arrays (gathered neighbour values,
-sort permutation, prefix sums) for one chunk of rows only, so with a shard
-plan of ``k`` ranges at most one range's frontier arrays exist at a time
-(one per in-flight chunk under a concurrent executor).  A chunk of contiguous
-rows reads zero-copy slices of the CSR arrays; any other chunk a gathered
-sub-CSR.
+Each kernel call, and each step of marking the next dirty set, materialises
+per-edge arrays for one plan range of rows only, so with a shard plan of
+``k`` ranges at most one range's frontier arrays exist at a time (one per
+in-flight chunk under a concurrent executor).  A chunk of contiguous rows, or
+one holding over half its range's entries, reads zero-copy CSR slices; any
+other chunk a gathered sub-CSR, never larger than its range.
 
 Numerical note: within a kernel call the per-row prefix sums come from a
 single cumulative sum over the call's rows, so a row's value can depend on
@@ -37,6 +37,7 @@ compare with tolerances there.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,8 +145,6 @@ def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
     the gathered rows run through the *same shared kernel* as every other
     engine path.
     """
-    from types import SimpleNamespace
-
     sub_indptr, positions = _row_positions(csr.indptr, ids)
     return SimpleNamespace(indptr=sub_indptr,
                            indices=np.asarray(csr.indices)[positions],
@@ -153,31 +152,38 @@ def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
                            loops=np.asarray(csr.loops)[ids])
 
 
-def _run_of(ids: np.ndarray) -> Optional[Tuple[int, int]]:
-    """``(lo, hi)`` when the sorted ``ids`` are exactly ``lo..hi-1``, else None."""
-    lo, hi = int(ids[0]), int(ids[-1]) + 1
-    return (lo, hi) if hi - lo == ids.size else None
+def _rows_round(csr: CSRAdjacency, current: np.ndarray, span: Tuple[int, int],
+                ids: np.ndarray, grid: LambdaGrid) -> np.ndarray:
+    """Algorithm 2 for the sorted rows ``ids`` of the plan range ``span``.
 
-
-def _rows_round(csr: CSRAdjacency, current: np.ndarray, ids: np.ndarray,
-                grid: LambdaGrid) -> np.ndarray:
-    """Algorithm 2 for the sorted rows ``ids``: zero-copy slices for a run."""
-    run = _run_of(ids)
-    if run is not None:
-        return compact_round_range(csr, current, run[0], run[1], grid)
+    A run, or rows holding over half the range's entries (the whole range
+    runs), reads zero-copy slices; other rows run on a gathered sub-CSR.
+    """
+    first, last = int(ids[0]), int(ids[-1]) + 1
+    if last - first == ids.size:
+        return compact_round_range(csr, current, first, last, grid)
+    lo, hi = span
+    indptr = np.asarray(csr.indptr)
+    if 2 * int((indptr[ids + 1] - indptr[ids]).sum()) > indptr[hi] - indptr[lo]:
+        return compact_round_range(csr, current, lo, hi, grid)[ids - lo]
     return compact_round_range(_gathered_sub_csr(csr, ids), current,
                                0, ids.size, grid)
 
 
-def _dirty_after(csr: CSRAdjacency, diff: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """``seed ∪ N(diff)`` as sorted ids, deduplicated with a boolean mask."""
+def _chunks(ids: np.ndarray, bounds: ShardPlan):
+    """``(range, ids)``: the sorted ``ids`` split by the plan, empties dropped."""
+    cuts = np.searchsorted(ids, [hi for _, hi in bounds[:-1]])
+    return [(span, c) for span, c in zip(bounds, np.split(ids, cuts)) if c.size]
+
+
+def _dirty_after(csr: CSRAdjacency, diff: np.ndarray,
+                 seed: Optional[np.ndarray], bounds: ShardPlan) -> np.ndarray:
+    """``seed ∪ N(diff)`` as sorted ids: a boolean mask, one range at a time."""
     mask = np.zeros(csr.num_nodes, dtype=bool)
-    run = _run_of(diff) if diff.size else None
-    if run is not None:  # a contiguous run: its neighbours are one slice
-        mask[csr.indices[int(csr.indptr[run[0]]):int(csr.indptr[run[1]])]] = True
-    elif diff.size:
-        mask[np.asarray(csr.indices)[_row_positions(csr.indptr, diff)[1]]] = True
-    mask[seed] = True
+    for _, ids in _chunks(diff, bounds):
+        mask[np.asarray(csr.indices)[_row_positions(csr.indptr, ids)[1]]] = True
+    if seed is not None:
+        mask[seed] = True
     return np.flatnonzero(mask)
 
 
@@ -192,7 +198,8 @@ def round_loop(csr: CSRAdjacency, rounds: int, grid: LambdaGrid, *,
     chunks mapped through ``shard_map`` when given) and copies every other
     row from ``B_t`` — ``baseline(t)`` when given, else the previous row.
     ``diff_t`` holds the dirty rows whose value differs from ``B_t``, and
-    ``dirty_{t+1} = seed ∪ N(diff_t)``.  ``sink(t, row)`` receives each row.
+    ``dirty_{t+1} = seed ∪ N(diff_t)`` (part of the timed round; skipped
+    after the budget's last round).  ``sink(t, row)`` receives each row.
 
     Returns ``(stop, row)``: the round at which ``row`` repeated the previous
     row (a fixed point; None when the budget ran out first) and the last
@@ -201,7 +208,6 @@ def round_loop(csr: CSRAdjacency, rounds: int, grid: LambdaGrid, *,
     """
     n = csr.num_nodes
     bounds = tuple(plan)
-    seed = np.zeros(0, dtype=np.int64) if seed is None else seed
     limit = int(warm.max_frontier_fraction * n) if warm is not None else n
     # One tracer/context fetch per call; per-round work stays a None-check
     # when tracing is disabled.  Shard spans recorded from pool threads pass
@@ -221,29 +227,28 @@ def round_loop(csr: CSRAdjacency, rounds: int, grid: LambdaGrid, *,
         round_perf = time.perf_counter()
         base = current if baseline is None else baseline(t)
         row = base.copy()
-        if dirty.size:
-            cuts = np.searchsorted(dirty, [hi for _, hi in bounds[:-1]])
-            chunks = [c for c in np.split(dirty, cuts) if c.size]
-            if shard_map is not None and len(chunks) > 1:
-                def run_chunk(ids, _cur=current, _t=t):
-                    if tracer is None:
-                        return _rows_round(csr, _cur, ids, grid)
-                    shard_unix = time.time()
-                    shard_perf = time.perf_counter()
-                    values = _rows_round(csr, _cur, ids, grid)
-                    tracer.record_span(
-                        "kernel.shard", start_unix=shard_unix,
-                        duration=time.perf_counter() - shard_perf,
-                        parent=parent,
-                        attrs={"lo": int(ids[0]), "hi": int(ids[-1]) + 1,
-                               "rows": int(ids.size), "round": _t})
-                    return values
-                results = shard_map(run_chunk, chunks)
-            else:
-                results = (_rows_round(csr, current, ids, grid) for ids in chunks)
-            for ids, values in zip(chunks, results):
-                row[ids] = values
-        diff = dirty[row[dirty] != base[dirty]]
+        chunks = _chunks(dirty, bounds)
+        threaded = shard_map is not None and len(chunks) > 1
+
+        def run_chunk(chunk, _cur=current, _t=t):
+            span, ids = chunk
+            shard_unix, shard_perf = time.time(), time.perf_counter()
+            values = _rows_round(csr, _cur, span, ids, grid)
+            if threaded and tracer is not None:
+                tracer.record_span(
+                    "kernel.shard", start_unix=shard_unix,
+                    duration=time.perf_counter() - shard_perf, parent=parent,
+                    attrs={"lo": int(ids[0]), "hi": int(ids[-1]) + 1,
+                           "rows": int(ids.size), "round": _t})
+            return values
+        for (_, ids), values in zip(chunks, (shard_map if threaded else map)(
+                run_chunk, chunks)):
+            row[ids] = values
+        recomputed = int(dirty.size)
+        fixed = np.array_equal(row, current)
+        if not fixed and t < rounds:
+            diff = dirty[row[dirty] != base[dirty]]
+            dirty = _dirty_after(csr, diff, seed, bounds)
         round_seconds = time.perf_counter() - round_perf
         KERNEL_ROUND_SECONDS.observe(round_seconds)
         if tracer is not None:
@@ -251,11 +256,10 @@ def round_loop(csr: CSRAdjacency, rounds: int, grid: LambdaGrid, *,
                 "kernel.round_range", start_unix=round_unix,
                 duration=round_seconds, parent=parent,
                 attrs={"round": t, "shards": len(bounds), "n": n,
-                       "dirty": int(dirty.size)})
+                       "dirty": recomputed})
         sink(t, row)
-        if np.array_equal(row, current):
+        if fixed:
             return t, row
-        dirty = _dirty_after(csr, diff, seed)
         current = row
     return None, current
 
@@ -320,15 +324,15 @@ def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
             trajectory[:start + 1] = prefix[:start + 1]
         row_of, sink = trajectory.__getitem__, trajectory.__setitem__
     current = row_of(start)
+    bounds = tuple(plan) if plan is not None else ((0, n),)
     if start == 0:
         dirty = np.arange(n, dtype=np.int64)
     else:  # resume: only the neighbours of the nodes the last round changed
         dirty = _dirty_after(csr, np.flatnonzero(current != row_of(start - 1)),
-                             np.zeros(0, dtype=np.int64))
+                             None, bounds)
     stop, row = round_loop(csr, rounds, LambdaGrid(lam=lam), start=start,
                            current=current, dirty=dirty, sink=sink,
-                           plan=plan if plan is not None else ((0, n),),
-                           shard_map=shard_map)
+                           plan=bounds, shard_map=shard_map)
     if out is not None:
         if stop is not None:
             out.fill_to(rounds, row)

@@ -317,6 +317,47 @@ class TestThreadModeExecution:
         engine.close()
 
 
+class TestShardedPeakMemory:
+    """A k-range plan never holds more than one range's per-edge arrays.
+
+    Dense random graph (m >> n), so per-edge arrays dominate every other
+    allocation, and most nodes keep changing through round 6, so from round
+    2 on the changed rows are scattered rather than one contiguous run.
+    """
+
+    SHARDS = 8
+
+    @staticmethod
+    def _peak(fn) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cold_and_resumed_solves_stay_within_one_shard(self):
+        from repro.engine.kernels import compact_trajectory, shard_plan
+
+        csr = graph_to_csr(erdos_renyi_gnp(3000, 0.03, seed=4))
+        rounds = 6
+        plan = shard_plan(csr.num_nodes, self.SHARDS)
+        reference = compact_trajectory(csr, rounds)
+        changed = np.flatnonzero(reference[2] != reference[1])
+        assert changed.size > csr.num_nodes // 2
+        assert changed[-1] - changed[0] + 1 > changed.size  # not one run
+
+        whole = self._peak(lambda: compact_trajectory(csr, rounds))
+        budget = 1.5 * whole / self.SHARDS
+        cold = self._peak(lambda: compact_trajectory(csr, rounds, plan=plan))
+        resumed = self._peak(lambda: compact_trajectory(
+            csr, rounds, plan=plan, prefix=reference[:3]))
+        assert cold <= budget, (cold, whole)
+        assert resumed <= budget, (resumed, whole)
+
+
 class TestKeptSetReconstruction:
     """The batched kept-set path against the per-node reference loop.
 
