@@ -4,10 +4,11 @@
 Launches ``python -m repro serve`` as a real subprocess on an ephemeral
 port backed by a throwaway store, then over a real socket: uploads the
 caveman dataset, runs one job per registered problem, checks ``/metrics``
-accounting (both the JSON document and the Prometheus text exposition),
-and finally SIGTERMs the server.  The drain must exit 0 and may not leave
-``*.tmp`` staging files behind in the store (the atomic publish contract:
-readers only ever see complete artifacts).
+accounting (the JSON document and the Prometheus text exposition, which
+must agree: both render one snapshot), and finally SIGTERMs the server.
+The drain must exit 0 and may not leave ``*.tmp`` staging files behind in
+the store (the atomic publish contract: readers only ever see complete
+artifacts).
 
 Used by scripts/check.sh; exits non-zero on any failure.
 """
@@ -36,7 +37,9 @@ SAMPLE_LINE = re.compile(
 
 
 def check_prometheus_exposition(host, port):
-    """Scrape /metrics?format=prometheus and parse the text exposition."""
+    """Scrape /metrics?format=prometheus and parse the text exposition.
+
+    Returns the unlabelled samples as ``{name: value}``."""
     url = f"http://{host}:{port}/metrics?format=prometheus"
     with urllib.request.urlopen(url, timeout=10) as response:
         assert response.status == 200, response.status
@@ -45,6 +48,7 @@ def check_prometheus_exposition(host, port):
             content_type
         text = response.read().decode("utf-8")
     names = set()
+    samples = {}
     for line in text.splitlines():
         if not line:
             continue
@@ -53,12 +57,15 @@ def check_prometheus_exposition(host, port):
             assert parts[0] == "#" and parts[1] in ("HELP", "TYPE"), line
             continue
         assert SAMPLE_LINE.match(line), f"unparseable sample line: {line!r}"
-        names.add(line.split("{", 1)[0].split(" ", 1)[0])
+        name = line.split("{", 1)[0].split(" ", 1)[0]
+        names.add(name)
+        if "{" not in line:
+            samples[name] = float(line.rsplit(" ", 1)[1])
     required = {"repro_http_jobs", "repro_http_jobs_by_status",
                 "repro_serve_submitted_total", "repro_solve_latency_seconds_count"}
     missing = required - names
     assert not missing, f"exposition is missing families: {missing}"
-    return len(names)
+    return samples
 
 
 def wait_for_banner(proc, deadline=20.0):
@@ -99,7 +106,14 @@ def main() -> int:
                 assert serve["queue_depth"] == 0, serve
                 assert metrics["store"] is not None, "store not wired in"
                 assert metrics["store"]["files"] >= 1, metrics["store"]
-            families = check_prometheus_exposition(host, port)
+            samples = check_prometheus_exposition(host, port)
+            for path, name in ((("serve", "submitted"),
+                                "repro_serve_submitted_total"),
+                               (("jobs", "total"), "repro_http_jobs"),
+                               (("store", "files"), "repro_store_files")):
+                value = metrics[path[0]][path[1]]
+                assert samples[name] == value, \
+                    f"JSON {'.'.join(path)}={value} but {name}={samples[name]}"
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
         finally:
@@ -121,7 +135,7 @@ def main() -> int:
             print("serve smoke: store is empty after the run", file=sys.stderr)
             return 1
     print(f"serve smoke: {len(PROBLEMS)} problems over the wire, "
-          f"{families} prometheus families parsed, graceful drain, "
+          "JSON and prometheus /metrics agree, graceful drain, "
           "no staging files left behind")
     return 0
 

@@ -27,7 +27,7 @@ from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.problems import Problem, ProblemLike, get_problem
-from repro.session import Session
+from repro.session import Session, SessionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.surviving import SurvivingNumbers
@@ -165,10 +165,14 @@ class BatchRunner:
         key = id(graph)
         hit = self._sessions.get(key)
         if hit is None:
-            hit = self._sessions[key] = Session(
-                graph, engine=self.engine, store=self.store,
-                max_cached_results=self.max_cached_results)
+            hit = self._sessions[key] = self.new_session(graph)
         return hit
+
+    def new_session(self, graph: Graph) -> Session:
+        """A session over ``graph`` configured like the runner's own, not yet
+        registered (:meth:`adopt_session` registers it)."""
+        return Session(graph, engine=self.engine, store=self.store,
+                       max_cached_results=self.max_cached_results)
 
     def adopt_session(self, session: Session) -> Session:
         """Register an externally built session as the owner of its graph.
@@ -176,9 +180,10 @@ class BatchRunner:
         The delta path uses this: ``Session.apply_delta`` mints the child
         session (carrying its parent link, delta and chain fingerprint), and
         adopting it here routes every later job on the child graph through
-        the incremental state instead of a fresh cold session.  The adopted
-        session replaces any session previously opened for the same graph
-        object.
+        the incremental state instead of a fresh cold session.  Graph
+        uploads adopt the :meth:`new_session` that computed their
+        fingerprint.  The adopted session replaces any session previously
+        opened for the same graph object.
         """
         self._sessions[id(session.graph)] = session
         return session
@@ -197,16 +202,20 @@ class BatchRunner:
         return len(self._sessions)
 
     def aggregate_stats(self) -> dict:
-        """Summed :class:`~repro.session.SessionStats` across every session.
+        """:class:`~repro.session.SessionStats` across every session.
 
-        One JSON-ready dict with the same counter keys as
-        ``SessionStats.to_dict()`` — what the CLI and the serving layer report
-        for a whole batch (cache hits, disk traffic, executed/reused rounds).
+        One JSON-ready dict with the same keys as ``SessionStats.to_dict()``
+        — what the CLI and the serving layer report for a whole batch (cache
+        hits, disk traffic, executed/reused rounds).  Counters are summed;
+        the :attr:`~repro.session.SessionStats.PEAKS` fields take the max.
         """
         totals: Dict[str, int] = {}
-        for session in self._sessions.values():
+        # A snapshot: worker threads and adopt_session open sessions mid-scrape.
+        for session in list(self._sessions.values()):
             for key, value in session.stats.to_dict().items():
-                totals[key] = totals.get(key, 0) + value
+                totals[key] = (max(totals.get(key, 0), value)
+                               if key in SessionStats.PEAKS
+                               else totals.get(key, 0) + value)
         return totals
 
     # -------------------------------------------------------------------- runs

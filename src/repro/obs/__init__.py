@@ -18,9 +18,10 @@ Two halves, both disabled-by-default and dependency-free:
   counters, gauges and fixed-bucket histograms (notably per-problem solve
   latency and per-round kernel time, observed into the process-wide default
   registry), rendered in Prometheus text exposition at
-  ``GET /metrics?format=prometheus``.  ``SessionStats`` / ``ServeStats`` /
-  store counters register as scrape-time collector families instead of being
-  hand-merged into one JSON blob.
+  ``GET /metrics?format=prometheus``.  The server's ``SessionStats`` /
+  ``ServeStats`` / store counters are read once, into the JSON ``/metrics``
+  document, and the text form renders families mapped from that same
+  document, so the two never disagree.
 
 Tracing never changes results: spans observe wall time and attributes only,
 and the equivalence tests pin bit-identity with tracing enabled.
@@ -49,6 +50,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     counter_families,
+    exposition,
     family,
     gauge_family,
     get_registry,
@@ -75,6 +77,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter_families",
+    "exposition",
     "family",
     "gauge_family",
     "get_registry",

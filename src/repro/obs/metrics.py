@@ -1,22 +1,19 @@
 """Counters, gauges, fixed-bucket histograms and Prometheus exposition.
 
-A :class:`MetricsRegistry` holds two kinds of sources:
-
-* **Instruments** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  objects created through :meth:`MetricsRegistry.counter` (etc.) and updated
-  by the code that owns them.  Creation is idempotent by name so module-level
-  instruments survive re-imports and multiple servers in one process.
-* **Collectors** — callables returning metric *families* at scrape time.
-  This is how the existing hand-maintained stats objects
-  (``SessionStats``/``ServeStats``/store counters) register into the
-  registry without changing their internal representation: the collector
-  adapts a snapshot of the stats dict into families on each scrape.
+A :class:`MetricsRegistry` holds named **instruments** —
+:class:`Counter` / :class:`Gauge` / :class:`Histogram` objects created
+through :meth:`MetricsRegistry.counter` (etc.) and updated by the code that
+owns them.  Creation is idempotent by name so module-level instruments
+survive re-imports and multiple servers in one process.
 
 A *family* is ``(name, type, help, samples)`` with ``samples`` a list of
-``(suffix, labels_dict, value)`` — the exact shape
-:meth:`MetricsRegistry.render` turns into Prometheus text exposition
-(``# HELP`` / ``# TYPE`` lines, label escaping, cumulative ``_bucket{le=}``
-series with ``_sum`` / ``_count``).
+``(suffix, labels_dict, value)`` — the exact shape :func:`exposition` turns
+into Prometheus text (``# HELP`` / ``# TYPE`` lines, label escaping,
+cumulative ``_bucket{le=}`` series with ``_sum`` / ``_count``).  Snapshots
+that are not instruments — the HTTP server's ``/metrics`` document of
+serving, session and store counters — are mapped to families by their
+owner (:func:`repro.serve.http.metric_families`) and rendered by the same
+function, so the JSON and text forms are one snapshot.
 
 A process-wide default registry (:func:`get_registry`) carries the always-on
 instruments — per-round kernel time and per-problem solve latency — which
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -37,6 +34,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "counter_families",
+    "exposition",
     "family",
     "gauge_family",
     "get_registry",
@@ -54,7 +52,7 @@ Family = Tuple[str, str, str, List[Tuple[str, Dict[str, str], float]]]
 
 def family(name: str, type_: str, help_: str,
            samples: Iterable[Tuple[str, Dict[str, str], float]]) -> Family:
-    """Build a metric family tuple (the shape collectors return)."""
+    """Build a metric family tuple (the shape :func:`exposition` renders)."""
     return (str(name), str(type_), str(help_), list(samples))
 
 
@@ -67,8 +65,8 @@ def counter_families(prefix: str, totals: Dict[str, Any],
                      help_prefix: str) -> List[Family]:
     """One ``<prefix>_<key>_total`` counter family per numeric dict entry.
 
-    The adapter that lets hand-maintained stats dicts (``SessionStats``,
-    store counters) register into a registry unchanged.
+    The adapter that maps a snapshot dict of plain counters (aggregated
+    ``SessionStats``, serving counters) to families.
     """
     families = []
     for key in sorted(totals):
@@ -98,8 +96,10 @@ def _label_key(labelnames: Sequence[str],
     return tuple(str(labels[name]) for name in labelnames)
 
 
-class Counter:
-    """Monotonically increasing value, optionally per label set."""
+class _Scalar:
+    """One value per label set (the shared body of counters and gauges)."""
+
+    type_ = ""
 
     def __init__(self, name: str, help_: str,
                  labelnames: Sequence[str] = ()):
@@ -109,13 +109,18 @@ class Counter:
         self._lock = threading.Lock()
         self._values: Dict[Tuple[str, ...], float] = {}
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        amount = float(amount)
-        if amount < 0:
-            raise ValueError("counters only go up")
+    def _add(self, amount: float, labels: Dict[str, Any]) -> None:
         key = _label_key(self.labelnames, labels)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+            self._values[key] = self._values.get(key, 0.0) + float(amount)
+
+    def total(self, **labels) -> float:
+        """Sum of the samples whose labels include ``labels`` (all if none)."""
+        match = [(self.labelnames.index(name), str(value))
+                 for name, value in labels.items()]
+        with self._lock:
+            return sum(value for key, value in self._values.items()
+                       if all(key[i] == want for i, want in match))
 
     def families(self) -> List[Family]:
         with self._lock:
@@ -124,19 +129,24 @@ class Counter:
             values = {(): 0.0}
         samples = [("", dict(zip(self.labelnames, key)), value)
                    for key, value in sorted(values.items())]
-        return [family(self.name, "counter", self.help, samples)]
+        return [family(self.name, self.type_, self.help, samples)]
 
 
-class Gauge:
+class Counter(_Scalar):
+    """Monotonically increasing value, optionally per label set."""
+
+    type_ = "counter"
+
+    def inc(self, amount: float = 1.0, **labels) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        self._add(amount, labels)
+
+
+class Gauge(_Scalar):
     """A value that can go up and down, optionally per label set."""
 
-    def __init__(self, name: str, help_: str,
-                 labelnames: Sequence[str] = ()):
-        self.name = _check_name(name)
-        self.help = str(help_)
-        self.labelnames = tuple(str(n) for n in labelnames)
-        self._lock = threading.Lock()
-        self._values: Dict[Tuple[str, ...], float] = {}
+    type_ = "gauge"
 
     def set(self, value: float, **labels) -> None:
         key = _label_key(self.labelnames, labels)
@@ -144,21 +154,10 @@ class Gauge:
             self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
+        self._add(amount, labels)
 
     def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-float(amount), **labels)
-
-    def families(self) -> List[Family]:
-        with self._lock:
-            values = dict(self._values)
-        if not self.labelnames and not values:
-            values = {(): 0.0}
-        samples = [("", dict(zip(self.labelnames, key)), value)
-                   for key, value in sorted(values.items())]
-        return [family(self.name, "gauge", self.help, samples)]
+        self._add(-float(amount), labels)
 
 
 class Histogram:
@@ -248,13 +247,37 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+def exposition(families: Iterable[Family]) -> str:
+    """Prometheus text exposition of ``families``.
+
+    When two sources export the same family name the first one wins
+    (``# HELP`` / ``# TYPE`` may appear only once per exposition).
+    """
+    seen = set()
+    lines: List[str] = []
+    for name, type_, help_, samples in families:
+        if name in seen:
+            continue
+        seen.add(name)
+        lines.append(f"# HELP {name} {_escape_help(help_)}")
+        lines.append(f"# TYPE {name} {type_}")
+        for suffix, labels, value in samples:
+            if labels:
+                rendered = ",".join(
+                    f'{key}="{_escape_label(labels[key])}"' for key in labels)
+                lines.append(
+                    f"{name}{suffix}{{{rendered}}} {_format_value(value)}")
+            else:
+                lines.append(f"{name}{suffix} {_format_value(value)}")
+    return "\n".join(lines) + "\n"
+
+
 class MetricsRegistry:
-    """Named instruments plus scrape-time collectors, rendered as Prometheus."""
+    """Named instruments, rendered as Prometheus text exposition."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
-        self._collectors: List[Callable[[], Iterable[Family]]] = []
 
     def _instrument(self, cls, name: str, help_: str, **kwargs):
         with self._lock:
@@ -284,47 +307,17 @@ class MetricsRegistry:
         return self._instrument(Histogram, name, help_,
                                 labelnames=labelnames, buckets=buckets)
 
-    def register_collector(self,
-                           collector: Callable[[], Iterable[Family]]) -> None:
-        with self._lock:
-            self._collectors.append(collector)
-
     def collect(self) -> List[Family]:
         with self._lock:
             instruments = list(self._instruments.values())
-            collectors = list(self._collectors)
         families: List[Family] = []
         for instrument in instruments:
             families.extend(instrument.families())
-        for collector in collectors:
-            families.extend(collector())
         return families
 
-    def render(self, *extra: "MetricsRegistry") -> str:
-        """Prometheus text exposition of this registry plus ``extra`` ones."""
-        families: List[Family] = list(self.collect())
-        for registry in extra:
-            families.extend(registry.collect())
-        seen = set()
-        lines: List[str] = []
-        for name, type_, help_, samples in families:
-            if name in seen:
-                # Two sources exporting the same family: keep the first
-                # (HELP/TYPE may appear only once per exposition).
-                continue
-            seen.add(name)
-            lines.append(f"# HELP {name} {_escape_help(help_)}")
-            lines.append(f"# TYPE {name} {type_}")
-            for suffix, labels, value in samples:
-                if labels:
-                    rendered = ",".join(
-                        f'{key}="{_escape_label(labels[key])}"'
-                        for key in labels)
-                    lines.append(
-                        f"{name}{suffix}{{{rendered}}} {_format_value(value)}")
-                else:
-                    lines.append(f"{name}{suffix} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+    def render(self) -> str:
+        """Prometheus text exposition of this registry's instruments."""
+        return exposition(self.collect())
 
 
 _DEFAULT = MetricsRegistry()

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import WireFormatError
 
@@ -93,20 +93,14 @@ class SpanContext:
         self.trace_id = trace_id
         self.span_id = span_id
 
-    def to_wire(self) -> Tuple[str, str]:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_wire(cls, wire: Optional[Sequence[str]]) -> Optional["SpanContext"]:
-        if wire is None:
-            return None
-        if isinstance(wire, SpanContext):
-            return wire
-        trace_id, span_id = wire
-        return cls(str(trace_id), str(span_id))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpanContext(trace={self.trace_id!r}, span={self.span_id!r})"
+
+
+def _check_parent(parent) -> None:
+    if parent is not None and not isinstance(parent, SpanContext):
+        raise TypeError(f"span parent must be a SpanContext or None, "
+                        f"got {type(parent).__name__}")
 
 
 _LOCAL = threading.local()
@@ -335,8 +329,7 @@ class Tracer:
                     parent: Optional[SpanContext] = None,
                     attrs: Optional[Dict[str, Any]] = None) -> SpanContext:
         """Record an explicitly-timed span (for loops that avoid allocation)."""
-        parent = SpanContext.from_wire(parent) if not (
-            parent is None or isinstance(parent, SpanContext)) else parent
+        _check_parent(parent)
         trace_id = parent.trace_id if parent is not None else _new_id()
         span_id = _new_id()
         self._record({
@@ -419,12 +412,16 @@ def active() -> Optional[Tracer]:
 
 
 def span(name: str, parent: Optional[SpanContext] = None, **attrs):
-    """Open a span; returns the shared no-op when tracing is disabled."""
+    """Open a span; returns the shared no-op when tracing is disabled.
+
+    ``parent`` must be a :class:`SpanContext` or ``None`` (``TypeError``
+    otherwise, traced or not).
+    """
+    if parent is not None:
+        _check_parent(parent)
     tracer = _TRACER
     if tracer is None or getattr(_LOCAL, "suppressed", 0) > 0:
         return NOOP_SPAN
-    if parent is not None and not isinstance(parent, SpanContext):
-        parent = SpanContext.from_wire(parent)
     if parent is None and not _stack() and not tracer.sample_root():
         return SUPPRESSED_SPAN
     return Span(tracer, name, parent, attrs)

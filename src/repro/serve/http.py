@@ -28,8 +28,8 @@ that graph's artifacts across restarts::
     POST /graphs/<fp>/batch           submit a request list, stream NDJSON
                                       results back in submission order
     GET  /metrics                     ServeStats + session/store counters;
-                                      ?format=prometheus renders text
-                                      exposition from the MetricsRegistry
+                                      ?format=prometheus renders the same
+                                      snapshot as text exposition
     GET  /health                      liveness probe
 
 Observability
@@ -89,7 +89,6 @@ from repro.errors import (
     UnknownResourceError,
     WireFormatError,
 )
-from repro.graph.csr import csr_fingerprint, graph_to_csr
 from repro.graph.datasets import list_datasets, load_dataset
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
@@ -97,13 +96,16 @@ from repro.graph.io import from_dict as graph_from_dict
 from repro.graph.io import parse_edge_list
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
+    Family,
     MetricsRegistry,
     counter_families,
+    exposition,
     family,
     gauge_family,
     get_registry,
 )
 from repro.serve.queue import JobQueue
+from repro.session import SessionStats
 from repro.store import ArtifactStore
 
 #: Longest long-poll a single ``?wait=`` request may hold a handler thread
@@ -268,8 +270,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
                                                 "error": 0}
         self._evicted_jobs = 0
         self._job_counter = 0
-        self._rejected_quota = 0
-        self._rejected_backpressure = 0
         self._state_lock = threading.Lock()
         self._draining = False
         self._serve_thread: Optional[threading.Thread] = None
@@ -282,10 +282,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
         else:
             self._access_file = open(access_log, "a", encoding="utf-8")
             self._access_owned = True
+        # Server events, each counted once here; the JSON /metrics totals
+        # are sums over these labelled counters.
         self.registry = MetricsRegistry()
-        self.registry.register_collector(self._collect_families)
-        # Per-tenant label dimension (the aggregate spellings above stay for
-        # dashboards that predate it): who submits, who gets throttled.
         self._jobs_submitted_by_tenant = self.registry.counter(
             "repro_http_jobs_submitted_total",
             "Job submissions admitted, by tenant", labelnames=("tenant",))
@@ -296,7 +295,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
         self._deltas_by_tenant = self.registry.counter(
             "repro_http_deltas_applied_total",
             "Graph deltas applied, by tenant", labelnames=("tenant",))
-        self._applied_deltas = 0
         super().__init__((host, port), _Handler)
 
     # ---------------------------------------------------------------- lifecycle
@@ -359,8 +357,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
                     self.quota_rate, self.quota_burst)
         retry_after = bucket.try_acquire(tokens)
         if retry_after > 0.0:
-            with self._state_lock:
-                self._rejected_quota += 1
             self._rejected_by_tenant.inc(tenant=tenant, reason="quota")
             raise QuotaExceededError(
                 f"tenant {tenant!r} exceeded its request quota "
@@ -373,11 +369,14 @@ class ReproHTTPServer(ThreadingHTTPServer):
 
         Returns ``(fingerprint, created)``; re-uploading identical content
         keeps serving the first object (one session per graph in the shared
-        runner) and merely bumps its upload counter.
+        runner) and merely bumps its upload counter.  The fingerprint comes
+        from the session that will serve the graph, so its CSR view is built
+        once; that session is adopted only when the content is new.
         """
         if graph.num_nodes == 0:
             raise GraphError("an uploaded graph needs at least one node")
-        fingerprint = csr_fingerprint(graph_to_csr(graph))
+        session = self.queue.runner.new_session(graph)
+        fingerprint = session.fingerprint
         with self._state_lock:
             hit = self._graphs.get(fingerprint)
             if hit is not None:
@@ -385,6 +384,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
                 return fingerprint, False
             self._graphs[fingerprint] = _GraphRecord(
                 fingerprint=fingerprint, graph=graph, source=source)
+            self.queue.runner.adopt_session(session)
             return fingerprint, True
 
     def graph_record(self, fingerprint: str) -> _GraphRecord:
@@ -459,7 +459,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
                     fingerprint=child_fp, graph=child.graph, source="delta",
                     parent=fingerprint,
                     content_fingerprint=child.fingerprint)
-                self._applied_deltas += 1
             else:
                 hit.uploads += 1
         if created:
@@ -506,8 +505,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
         try:
             future = self.queue.submit(job, block=False)
         except QueueFullError:
-            with self._state_lock:
-                self._rejected_backpressure += 1
             self._rejected_by_tenant.inc(tenant=tenant, reason="backpressure")
             raise
         self._jobs_submitted_by_tenant.inc(tenant=tenant)
@@ -626,9 +623,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
             raise WireFormatError("batch needs a non-empty 'requests' list")
         record_graph = self.graph_record(fingerprint)
         self._charge_tenant(tenant, tokens=float(len(payloads)))
-        self._jobs_submitted_by_tenant.inc(float(len(payloads)), tenant=tenant)
         jobs = [self._build_job(record_graph.graph, payload)
                 for payload in payloads]
+        self._jobs_submitted_by_tenant.inc(float(len(payloads)), tenant=tenant)
 
         def documents():
             pending: List[_JobRecord] = []
@@ -667,24 +664,25 @@ class ReproHTTPServer(ThreadingHTTPServer):
     def metrics(self) -> dict:
         """The ``/metrics`` document: ServeStats + session + store counters.
 
-        Job counts come from the by-status counters the done-callbacks
-        maintain — O(1) under the lock, not a scan of every record ever
-        issued.
+        The one read of server, queue, runner and store state for metrics;
+        :meth:`render_prometheus` renders this same document.  Job counts
+        come from the by-status counters the done-callbacks maintain — O(1)
+        under the lock, not a scan of every record ever issued.
+        ``applied_deltas`` counts every accepted delta request.
         """
         with self._state_lock:
             total_jobs = len(self._jobs)
             by_status = dict(self._jobs_by_status)
             graphs = len(self._graphs)
-            rejected_quota = self._rejected_quota
-            rejected_backpressure = self._rejected_backpressure
             evicted_jobs = self._evicted_jobs
-            applied_deltas = self._applied_deltas
+        rejected = self._rejected_by_tenant.total
         document = {
             "server": {"version": __version__, "graphs": graphs,
                        "draining": self._draining,
-                       "applied_deltas": applied_deltas,
-                       "rejected_quota": rejected_quota,
-                       "rejected_backpressure": rejected_backpressure,
+                       "applied_deltas": int(self._deltas_by_tenant.total()),
+                       "rejected_quota": int(rejected(reason="quota")),
+                       "rejected_backpressure": int(
+                           rejected(reason="backpressure")),
                        "evicted_jobs": evicted_jobs,
                        "quota_rate": self.quota_rate,
                        "max_pending": self.queue.max_pending},
@@ -701,58 +699,13 @@ class ReproHTTPServer(ThreadingHTTPServer):
             document["store"] = None
         return document
 
-    def _collect_families(self) -> list:
-        """Scrape-time collector: server/serve/session/store families."""
-        with self._state_lock:
-            total_jobs = len(self._jobs)
-            by_status = dict(self._jobs_by_status)
-            graphs = len(self._graphs)
-            rejected_quota = self._rejected_quota
-            rejected_backpressure = self._rejected_backpressure
-            evicted_jobs = self._evicted_jobs
-            draining = self._draining
-        families = [
-            gauge_family("repro_http_graphs", "Registered graphs",
-                         float(graphs)),
-            gauge_family("repro_http_draining",
-                         "1 while the server drains, else 0",
-                         1.0 if draining else 0.0),
-            gauge_family("repro_http_jobs", "Retained job records",
-                         float(total_jobs)),
-            family("repro_http_jobs_by_status", "gauge",
-                   "Retained job records by status",
-                   [("", {"status": status}, float(count))
-                    for status, count in sorted(by_status.items())]),
-            family("repro_http_jobs_evicted_total", "counter",
-                   "Finished job records dropped by bounded retention",
-                   [("", {}, float(evicted_jobs))]),
-            family("repro_http_rejected_total", "counter",
-                   "Submissions refused by admission control",
-                   [("", {"reason": "backpressure"},
-                     float(rejected_backpressure)),
-                    ("", {"reason": "quota"}, float(rejected_quota))]),
-        ]
-        families.extend(self.queue.stats.metric_families())
-        families.extend(counter_families(
-            "repro_session", self.queue.runner.aggregate_stats(),
-            "Aggregated session counter"))
-        if self.store is not None:
-            info = self.store.info()
-            families.append(gauge_family(
-                "repro_store_files", "Files in the artifact store",
-                float(info["files"])))
-            families.append(gauge_family(
-                "repro_store_bytes", "Bytes in the artifact store",
-                float(info["bytes"])))
-            families.append(gauge_family(
-                "repro_store_graphs", "Graphs with artifacts in the store",
-                float(len(info["graphs"]))))
-        return families
-
     def render_prometheus(self) -> str:
-        """Text exposition: this server's registry + the process-wide one
-        (always-on kernel-round and solve-latency histograms)."""
-        return self.registry.render(get_registry())
+        """Text exposition: the :meth:`metrics` document's families, this
+        server's per-tenant counters and the process-wide registry (always-on
+        kernel-round and solve-latency histograms)."""
+        return exposition(metric_families(self.metrics())
+                          + self.registry.collect()
+                          + get_registry().collect())
 
     # -------------------------------------------------------------- access log
     def log_access(self, entry: dict) -> None:
@@ -788,6 +741,63 @@ class ReproHTTPServer(ThreadingHTTPServer):
         with self._state_lock:
             records = list(self._jobs.values())
         return {"jobs": [self.job_document(record) for record in records]}
+
+
+def metric_families(document: dict) -> List[Family]:
+    """The Prometheus families of one :meth:`ReproHTTPServer.metrics` document.
+
+    ``applied_deltas`` is not mapped: it sums the server's
+    ``repro_http_deltas_applied_total{tenant}`` counter, which renders
+    itself.  The configuration leaves (``quota_rate``, ``max_pending``) are
+    not metrics.
+    """
+    server, serve, jobs = document["server"], document["serve"], document["jobs"]
+    session = dict(document["session"])
+    families = [
+        gauge_family("repro_http_graphs", "Registered graphs", server["graphs"]),
+        gauge_family("repro_http_draining",
+                     "1 while the server drains, else 0", server["draining"]),
+        gauge_family("repro_http_jobs", "Retained job records", jobs["total"]),
+        family("repro_http_jobs_by_status", "gauge",
+               "Retained job records by status",
+               [("", {"status": status}, float(jobs[status]))
+                for status in ("done", "error", "pending")]),
+        family("repro_http_jobs_evicted_total", "counter",
+               "Finished job records dropped by bounded retention",
+               [("", {}, float(server["evicted_jobs"]))]),
+        family("repro_http_rejected_total", "counter",
+               "Submissions refused by admission control",
+               [("", {"reason": reason}, float(server[f"rejected_{reason}"]))
+                for reason in ("backpressure", "quota")]),
+        *counter_families("repro_serve", {key: serve[key] for key in
+                                          ("submitted", "deduplicated",
+                                           "completed")}, "Serving counter"),
+        gauge_family("repro_serve_queue_depth",
+                     "Executions accepted and not yet completed",
+                     serve["queue_depth"]),
+        family("repro_serve_requests_total", "counter",
+               "Requests by canonical problem name (accepted + coalesced)",
+               [("", {"problem": name}, float(count))
+                for name, count in sorted(serve["per_problem"].items())]),
+    ]
+    for key in SessionStats.PEAKS:
+        if key in session:
+            families.append(gauge_family(
+                f"repro_session_{key}", f"Aggregated session peak: {key}",
+                session.pop(key)))
+    families += counter_families("repro_session", session,
+                                 "Aggregated session counter")
+    store = document["store"]
+    if store is not None:
+        families += [
+            gauge_family("repro_store_files", "Files in the artifact store",
+                         store["files"]),
+            gauge_family("repro_store_bytes", "Bytes in the artifact store",
+                         store["bytes"]),
+            gauge_family("repro_store_graphs",
+                         "Graphs with artifacts in the store", store["graphs"]),
+        ]
+    return families
 
 
 class _Handler(BaseHTTPRequestHandler):

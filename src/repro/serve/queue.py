@@ -49,7 +49,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.engine.batch import BatchJob, BatchResult, BatchRunner
 from repro.errors import QueueFullError, ServeError
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import counter_families, family, gauge_family
 from repro.problems import Problem, ProblemLike, get_problem
 from repro.session import Session
 from repro.utils.numeric import canonical_lam
@@ -90,29 +89,6 @@ class ServeStats:
         snapshot["per_problem"] = dict(self.per_problem)
         snapshot["dedup_hits"] = self.deduplicated
         return snapshot
-
-    def metric_families(self, prefix: str = "repro_serve") -> list:
-        """These counters as metric families for a ``MetricsRegistry``.
-
-        How the serving stats register into the observability layer (via
-        ``register_collector``) instead of being hand-merged: the monotone
-        counters become ``<prefix>_*_total``, ``queue_depth`` stays a gauge,
-        and ``per_problem`` becomes one labelled counter family.
-        """
-        families = counter_families(
-            prefix,
-            {"submitted": self.submitted, "deduplicated": self.deduplicated,
-             "completed": self.completed},
-            "Serving counter")
-        families.append(gauge_family(
-            f"{prefix}_queue_depth",
-            "Executions accepted and not yet completed", self.queue_depth))
-        families.append(family(
-            f"{prefix}_requests_total", "counter",
-            "Requests by canonical problem name (accepted + coalesced)",
-            [("", {"problem": name}, float(count))
-             for name, count in sorted(self.per_problem.items())]))
-        return families
 
 
 class _AsyncFrontend:

@@ -44,7 +44,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from repro.graph.delta import (GraphDelta, apply_delta as apply_graph_delta,
                                changed_labels)
 from repro.graph.graph import Graph
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import counter_families, get_registry
+from repro.obs.metrics import get_registry
 from repro.problems import Problem, ProblemLike, get_problem
 from repro.store import ArtifactStore
 from repro.utils.numeric import canonical_lam
@@ -98,20 +98,13 @@ class SessionStats:
     frontier_nodes_recomputed: int = 0  #: node-rounds recomputed incrementally
     frontier_peak_nodes: int = 0  #: widest dirty frontier across incremental runs
 
+    #: Fields that are maxima, not sums: they aggregate across sessions with
+    #: ``max`` and export as gauges.
+    PEAKS: ClassVar[Tuple[str, ...]] = ("frontier_peak_nodes",)
+
     def to_dict(self) -> dict:
         """JSON-serializable snapshot of the counters."""
         return dict(vars(self))
-
-    def metric_families(self, prefix: str = "repro_session") -> List[tuple]:
-        """These counters as metric families (``<prefix>_<name>_total``).
-
-        The adapter that registers session counters into a
-        :class:`repro.obs.metrics.MetricsRegistry` (via
-        ``register_collector``) instead of being hand-merged into a JSON
-        document; works on aggregated totals too via
-        :func:`repro.obs.metrics.counter_families`.
-        """
-        return counter_families(prefix, self.to_dict(), "Session counter")
 
 
 class Session:

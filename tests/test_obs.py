@@ -113,6 +113,23 @@ class TestSpanIntegrity:
         assert by_name["inner"]["trace"] == by_name["outer"]["trace"]
         assert by_name["outer"]["parent"] is None
 
+    def test_parent_must_be_a_span_context_or_none(self):
+        # Only a SpanContext is a parent: a tuple or a string attribute
+        # named ``parent`` must never be parsed as a trace context.
+        with pytest.raises(TypeError):
+            obs_trace.span("untraced", parent=("trace", "span"))
+        tracer = obs_trace.enable()
+        with pytest.raises(TypeError):
+            obs_trace.span("traced", parent="abc")
+        with pytest.raises(TypeError):
+            tracer.record_span("explicit", start_unix=0.0, duration=0.0,
+                               parent=("trace", "span"))
+        with obs_trace.span("outer"):
+            context = obs_trace.current_context()
+        with obs_trace.span("child", parent=context):
+            pass
+        assert tracer.spans()[-1]["parent"] == context.span_id
+
     def test_thread_pool_shards_link_to_the_run(self):
         tracer = obs_trace.enable()
         _solve_values("sharded:shards=4,workers=2,parallel=thread")
